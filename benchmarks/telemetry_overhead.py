@@ -1,30 +1,24 @@
 """Telemetry overhead guard (run directly, not under pytest).
 
 The telemetry layer promises a near-zero-cost disabled path: cores,
-NoC and fabric always hold instrument objects (the null sinks), so the
-hot loops carry no conditional forests.  This script measures a fixed
-co-simulation workload with telemetry disabled and enabled and fails —
-exit code 1 — if either side of that promise breaks:
+NoC and fabric hold the null probe, so the fast loop fires no hook and
+the fabric pays one guard per hook site.  This script measures a fixed
+co-simulation workload with no probe and with each probe in
+:data:`ARMS`, and fails — exit code 1 — if either side of that promise
+breaks for any arm:
 
-* the *disabled* path must not be slower than the enabled path beyond
-  measurement noise (>5% means dead instrumentation work leaked into
-  the null path);
-* the *enabled* path must stay within a small constant factor of the
-  disabled path (counters and trace appends, not a profiler);
-* the same two bounds hold against the *profiled* path (interval
-  sampling + the PC-cycle histogram on every core), so neither the
-  sampler's boundary check nor the profiler's disabled guard can grow
-  work on the null path;
-* and against the *recorded* path (the causal dependency recorder of
-  ``repro critpath``), whose hooks live only on comm events — never in
-  the instruction hot loop — so both its null path and its enabled
-  path must obey the same limits;
-* and against the *injected* path (an unarmed ``repro chaos``
-  :class:`~repro.chaos.Injector` carrying a zero-fault plan): an
-  unarmed injector keeps the fast engine and costs at most one
-  attribute check per hook site, so it must satisfy the same two
-  bounds — no leak into the null path, and within the same constant
-  factor of the disabled run.
+* the *disabled* path must not be slower than the arm beyond
+  measurement noise (>5% means dead observer work leaked into the null
+  path);
+* the arm must stay within a small constant factor of the disabled
+  path (counters and trace appends, not a profiler).
+
+The arms: a bare ``Telemetry()`` (stats + tracing); the *profiled*
+stack (interval sampling + the PC-cycle histogram on every core); the
+causal dependency recorder of ``repro critpath``, whose hooks live only
+on comm events; and an unarmed ``repro chaos``
+:class:`~repro.chaos.Injector` carrying a zero-fault plan, which keeps
+the fast engine.
 
 Wall-clock ratios between two in-process runs are machine-independent,
 unlike absolute times, so this is safe to run in CI.
@@ -96,9 +90,8 @@ def pipeline_programs():
     return programs
 
 
-def run_once(telemetry, profile_cycles=False, injector=None):
-    system = StitchSystem(telemetry=telemetry, profile_cycles=profile_cycles,
-                          injector=injector)
+def run_once(telemetry):
+    system = StitchSystem(telemetry=telemetry)
     for tile, program in pipeline_programs().items():
         system.load(tile, program)
     results = system.run()
@@ -109,24 +102,22 @@ def run_once(telemetry, profile_cycles=False, injector=None):
     return system
 
 
-def profiled_telemetry():
-    """The full observability stack: stats, tracing, interval sampling."""
+def profiled_probe():
+    """The full observability stack: stats, tracing, interval sampling
+    and the PC-cycle histogram on every core."""
+    from repro.probe import combine
+    from repro.profile import PCProfiler
     from repro.telemetry import TimeSeries
 
-    return Telemetry(timeseries=TimeSeries(interval=256))
+    return combine(Telemetry(timeseries=TimeSeries(interval=256)),
+                   PCProfiler())
 
 
-def recorded_telemetry():
+def recorded_probe():
     """Only the causal dependency recorder (``repro critpath``)."""
-    from repro.telemetry import (
-        DependencyRecorder,
-        NULL_STATS,
-        NULL_TIMESERIES,
-        NULL_TRACER,
-    )
+    from repro.telemetry import DependencyRecorder
 
-    return Telemetry(NULL_STATS, NULL_TRACER, NULL_TIMESERIES,
-                     recorder=DependencyRecorder())
+    return DependencyRecorder()
 
 
 def unarmed_injector():
@@ -136,14 +127,22 @@ def unarmed_injector():
     return Injector(InjectionPlan(name="guard-unarmed"))
 
 
-def measure(repeats, telemetry_factory, profile_cycles=False,
-            injector_factory=None):
+#: (label, probe factory) of every arm held to both bounds against the
+#: disabled run.
+ARMS = [
+    ("telemetry enabled", Telemetry),
+    ("profiled (+timeseries+pc)", profiled_probe),
+    ("recorded (critpath)", recorded_probe),
+    ("injected (unarmed chaos)", unarmed_injector),
+]
+
+
+def measure(repeats, probe_factory):
     times = []
     for _ in range(repeats):
-        telemetry = telemetry_factory()
-        injector = injector_factory() if injector_factory else None
+        probe = probe_factory()
         start = time.perf_counter()
-        run_once(telemetry, profile_cycles=profile_cycles, injector=injector)
+        run_once(probe)
         times.append(time.perf_counter() - start)
     return sorted(times)[len(times) // 2]  # median
 
@@ -157,67 +156,23 @@ def main(argv=None):
 
     run_once(None)  # warm caches / imports outside the timed region
     disabled = measure(args.repeats, lambda: None)
-    enabled = measure(args.repeats, Telemetry)
-    profiled = measure(args.repeats, profiled_telemetry, profile_cycles=True)
-    recorded = measure(args.repeats, recorded_telemetry)
-    injected = measure(args.repeats, lambda: None,
-                       injector_factory=unarmed_injector)
-    ratio = enabled / disabled
-    profiled_ratio = profiled / disabled
-    recorded_ratio = recorded / disabled
-    injected_ratio = injected / disabled
     print(f"telemetry disabled: {disabled * 1e3:8.2f} ms (median of "
           f"{args.repeats})")
-    print(f"telemetry enabled:  {enabled * 1e3:8.2f} ms "
-          f"(x{ratio:.2f} vs disabled)")
-    print(f"profiled (+timeseries+pc): {profiled * 1e3:8.2f} ms "
-          f"(x{profiled_ratio:.2f} vs disabled)")
-    print(f"recorded (critpath): {recorded * 1e3:8.2f} ms "
-          f"(x{recorded_ratio:.2f} vs disabled)")
-    print(f"injected (unarmed chaos): {injected * 1e3:8.2f} ms "
-          f"(x{injected_ratio:.2f} vs disabled)")
-
     failed = False
-    if disabled > enabled * DISABLED_REGRESSION_LIMIT:
-        print(f"FAIL: disabled path is >{DISABLED_REGRESSION_LIMIT:.0%} "
-              "slower than enabled — null-sink work leaked into the "
-              "hot path", file=sys.stderr)
-        failed = True
-    if disabled > profiled * DISABLED_REGRESSION_LIMIT:
-        print(f"FAIL: disabled path is >{DISABLED_REGRESSION_LIMIT:.0%} "
-              "slower than the profiled path — sampler/profiler work "
-              "leaked into the null path", file=sys.stderr)
-        failed = True
-    if enabled > disabled * ENABLED_OVERHEAD_LIMIT:
-        print(f"FAIL: enabled telemetry costs more than "
-              f"{ENABLED_OVERHEAD_LIMIT}x the disabled path",
-              file=sys.stderr)
-        failed = True
-    if profiled > disabled * ENABLED_OVERHEAD_LIMIT:
-        print(f"FAIL: the profiled path costs more than "
-              f"{ENABLED_OVERHEAD_LIMIT}x the disabled path",
-              file=sys.stderr)
-        failed = True
-    if disabled > recorded * DISABLED_REGRESSION_LIMIT:
-        print(f"FAIL: disabled path is >{DISABLED_REGRESSION_LIMIT:.0%} "
-              "slower than the recorded path — recorder work leaked "
-              "into the null path", file=sys.stderr)
-        failed = True
-    if recorded > disabled * ENABLED_OVERHEAD_LIMIT:
-        print(f"FAIL: the dependency recorder costs more than "
-              f"{ENABLED_OVERHEAD_LIMIT}x the disabled path",
-              file=sys.stderr)
-        failed = True
-    if disabled > injected * DISABLED_REGRESSION_LIMIT:
-        print(f"FAIL: disabled path is >{DISABLED_REGRESSION_LIMIT:.0%} "
-              "slower than the unarmed-injector path — chaos hook work "
-              "leaked into the null path", file=sys.stderr)
-        failed = True
-    if injected > disabled * ENABLED_OVERHEAD_LIMIT:
-        print(f"FAIL: an unarmed chaos injector costs more than "
-              f"{ENABLED_OVERHEAD_LIMIT}x the disabled path",
-              file=sys.stderr)
-        failed = True
+    for label, factory in ARMS:
+        observed = measure(args.repeats, factory)
+        print(f"{label}: {observed * 1e3:8.2f} ms "
+              f"(x{observed / disabled:.2f} vs disabled)")
+        if disabled > observed * DISABLED_REGRESSION_LIMIT:
+            print(f"FAIL: disabled path is >{DISABLED_REGRESSION_LIMIT:.0%} "
+                  f"slower than the {label} path — observer work leaked "
+                  "into the null path", file=sys.stderr)
+            failed = True
+        if observed > disabled * ENABLED_OVERHEAD_LIMIT:
+            print(f"FAIL: the {label} path costs more than "
+                  f"{ENABLED_OVERHEAD_LIMIT}x the disabled path",
+                  file=sys.stderr)
+            failed = True
     if not failed:
         print("telemetry overhead guard: OK")
 

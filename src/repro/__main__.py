@@ -97,29 +97,49 @@ def cmd_compile(args):
         )
 
 
+def _telemetry(args):
+    """The bundle ``--stats``/``--trace``/``--timeseries`` ask for, if any."""
+    from repro.telemetry import Telemetry, TimeSeries
+
+    if not (args.stats or args.trace or args.timeseries):
+        return None
+    return Telemetry(timeseries=TimeSeries(interval=args.interval)
+                     if args.timeseries else None)
+
+
+def _write_captures(telemetry, args):
+    """Write the ``--trace`` and ``--timeseries`` captures."""
+    if args.trace:
+        telemetry.tracer.write_chrome(args.trace)
+        print(
+            f"chrome trace written to {args.trace} "
+            f"({len(telemetry.tracer)} events)"
+        )
+    if args.timeseries:
+        timeseries = telemetry.timeseries
+        timeseries.write(args.timeseries)
+        print(
+            f"time series written to {args.timeseries} "
+            f"({len(timeseries)} samples, interval {timeseries.interval})"
+        )
+
+
 def cmd_run(args):
     from repro.cpu import Core
     from repro.isa import AssemblerError, assemble
     from repro.mem import MemorySystem
-    from repro.telemetry import ATTRIBUTION_BUCKETS, Telemetry, TimeSeries
+    from repro.telemetry import ATTRIBUTION_BUCKETS
 
     with open(args.file) as handle:
         try:
             program = assemble(handle.read(), name=args.file)
         except AssemblerError as exc:
             sys.exit(str(exc))
-    timeseries = TimeSeries(interval=args.interval) if args.timeseries else None
-    telemetry = (
-        Telemetry(timeseries=timeseries)
-        if (args.stats or args.trace or timeseries is not None)
-        else None
-    )
-    core = Core(
-        program, MemorySystem.stitch(), profile=True,
-        tracer=telemetry.tracer if telemetry is not None else None,
-        timeseries=timeseries,
-    )
+    telemetry = _telemetry(args)
+    core = Core(program, MemorySystem.stitch(), probe=telemetry)
     outcome = core.run(max_instructions=args.max_instructions)
+    if telemetry is not None:
+        telemetry.run_end([core], {core: outcome.reason}, "complete")
     print(f"stopped: {outcome.reason}")
     print(f"cycles: {core.cycles}  instructions: {core.instret}")
     live = {f"r{i}": v for i, v in enumerate(core.regs) if v}
@@ -138,22 +158,8 @@ def cmd_run(args):
                 f"({counts['hit_rate']:.1%} hit rate)"
             )
         print(check_core(core).render())
-    if args.trace:
-        telemetry.tracer.write_chrome(args.trace)
-        print(
-            f"chrome trace written to {args.trace} "
-            f"({len(telemetry.tracer)} events)"
-        )
-    if timeseries is not None:
-        from repro.power.chip import EnergyModel
-
-        core.flush_timeseries()
-        timeseries.add_energy(EnergyModel())
-        timeseries.write(args.timeseries)
-        print(
-            f"time series written to {args.timeseries} "
-            f"({len(timeseries)} samples, interval {timeseries.interval})"
-        )
+    if telemetry is not None:
+        _write_captures(telemetry, args)
 
 
 def cmd_app(args):
@@ -170,14 +176,10 @@ def cmd_app(args):
         print(f"  {arch:18s} {throughputs[arch]:.2f}x")
     plan = evaluator.plan(ARCH_STITCH)
     print(plan.describe())
-    if args.stats or args.trace or args.timeseries:
-        from repro.telemetry import Telemetry, TimeSeries
+    telemetry = _telemetry(args)
+    if telemetry is not None:
         from repro.verify import check_run
 
-        timeseries = (
-            TimeSeries(interval=args.interval) if args.timeseries else None
-        )
-        telemetry = Telemetry(timeseries=timeseries)
         system, _ = evaluator.build_system(
             ARCH_STITCH, items=args.items, telemetry=telemetry
         )
@@ -187,18 +189,7 @@ def cmd_app(args):
         if args.stats:
             print(results.stats.render())
             print(check_run(results).render())
-        if args.trace:
-            telemetry.tracer.write_chrome(args.trace)
-            print(
-                f"chrome trace written to {args.trace} "
-                f"({len(telemetry.tracer)} events)"
-            )
-        if timeseries is not None:
-            timeseries.write(args.timeseries)
-            print(
-                f"time series written to {args.timeseries} "
-                f"({len(timeseries)} samples, interval {timeseries.interval})"
-            )
+        _write_captures(telemetry, args)
 
 
 def cmd_profile(args):
@@ -350,7 +341,6 @@ def cmd_critpath(args):
 
 def _capture_timeseries(target, args):
     """Run a kernel or app with interval sampling on; returns the payload."""
-    from repro.power.chip import EnergyModel
     from repro.telemetry import Telemetry, TimeSeries
     from repro.workloads import KERNEL_FACTORIES, make_kernel
     from repro.workloads.apps import APP_FACTORIES
@@ -361,13 +351,10 @@ def _capture_timeseries(target, args):
         from repro.mem import MemorySystem
 
         kernel = make_kernel(target, seed=args.seed)
-        core = Core(
-            kernel.program, MemorySystem.stitch(), timeseries=timeseries
-        )
+        core = Core(kernel.program, MemorySystem.stitch(), probe=timeseries)
         kernel.setup(core)
-        core.run(max_instructions=5_000_000)
-        core.flush_timeseries()
-        timeseries.add_energy(EnergyModel())
+        outcome = core.run(max_instructions=5_000_000)
+        timeseries.run_end([core], {core: outcome.reason}, "complete")
     elif target.upper() in APP_FACTORIES:
         from repro.sim.baselines import ARCH_STITCH, AppEvaluator
 

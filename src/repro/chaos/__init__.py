@@ -1,10 +1,9 @@
 """Deterministic fault injection and resilience policies.
 
 The chaos layer perturbs a run the way the telemetry layer observes
-one: every component holds a null-object :data:`NULL_INJECTOR` when
-injection is off, the core hot loops pay a single pinned-at-infinity
-cycle comparison, and an armed injector transparently forces the fast
-execution engine back to the instrumented loop.
+one: the :class:`Injector` is a :class:`~repro.probe.Probe`, passed as
+(or combined into) a system's ``telemetry=`` probe.  An armed injector
+observes the core, so ``engine="auto"`` runs the instrumented loop.
 
 * :mod:`repro.chaos.plan` — :class:`InjectionPlan`: the frozen,
   JSON-round-trippable description of what to break (site, trigger,
@@ -20,13 +19,10 @@ execution engine back to the instrumented loop.
 """
 
 from repro.chaos.injector import (
-    NULL_INJECTOR,
     ChannelCorruptionError,
     ChaosError,
     CixStallError,
     Injector,
-    NullInjector,
-    ensure_injector,
 )
 from repro.chaos.plan import (
     CORE_SITES,
@@ -51,10 +47,7 @@ __all__ = [
     "InjectionPlan",
     "InjectionPlanError",
     "Injector",
-    "NULL_INJECTOR",
-    "NullInjector",
     "RecoveryParams",
-    "ensure_injector",
     "random_fault",
     "random_plan",
 ]

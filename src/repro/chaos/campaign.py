@@ -32,6 +32,8 @@ Workload dict (the ``"chaos"`` sweep kind)::
 
 ``target`` names a Figure-11 kernel (single-tile run, core-site faults)
 or one of APP1-4 (16-tile stitched co-simulation, every fault site).
+A kernel point's ``engine`` must fire the injector's hooks: ``fast``
+or ``reference`` with an armed plan raises ``ValueError``.
 """
 
 import json
@@ -51,6 +53,9 @@ OUTCOMES = ("masked", "detected_recovered", "detected_failed", "sdc")
 
 #: Default co-simulated items per app point (matches AppEvaluator).
 APP_ITEMS = 2
+
+#: Instruction budget of one kernel point's run.
+KERNEL_BUDGET = 20_000_000
 
 
 def _checksum(value):
@@ -88,7 +93,9 @@ def classify(events, loud, matches):
 # -- kernel points -----------------------------------------------------------
 
 
-def _kernel_run(config, name, engine, injector):
+def _kernel_core(config, name, engine, injector):
+    """Kernel ``name`` loaded on a fresh core; ``Core`` raises
+    ``ValueError`` when ``engine`` cannot apply ``injector``'s faults."""
     from repro.cpu.core import Core
     from repro.mem.hierarchy import MemorySystem
     from repro.workloads import make_kernel
@@ -96,9 +103,14 @@ def _kernel_run(config, name, engine, injector):
     kernel = make_kernel(name, seed=1)
     memory = MemorySystem(config.mem)
     core = Core(kernel.program, memory, params=config.core, engine=engine,
-                injector=injector)
+                probe=injector)
     kernel.setup(core)
-    outcome = core.run(max_instructions=20_000_000)
+    return kernel, core
+
+
+def _kernel_run(config, name, engine, injector):
+    kernel, core = _kernel_core(config, name, engine, injector)
+    outcome = core.run(max_instructions=KERNEL_BUDGET)
     return kernel.result(core), outcome, core
 
 
@@ -118,10 +130,14 @@ def _kernel_point(config, workload):
         dram_words=min(config.mem.dram_size_bytes // 4, 4096),
     )
     injector = Injector(plan)
+    # Built outside the try: an engine that cannot apply the faults is
+    # a configuration error, not a loud failure of the perturbed run.
+    kernel, faulty = _kernel_core(config, name, engine, injector)
     loud = None
     result = None
     try:
-        result, outcome, _ = _kernel_run(config, name, engine, injector)
+        outcome = faulty.run(max_instructions=KERNEL_BUDGET)
+        result = kernel.result(faulty)
         if outcome.reason != STOP_HALT:
             loud = f"NoHalt: kernel stopped with reason {outcome.reason!r}"
     except Exception as exc:  # loud failure: trap, stall, budget, ...
@@ -174,7 +190,7 @@ def _app_point(config, workload):
     outputs = None
     try:
         system, splan = evaluator.build_system(ARCH_STITCH, items=items,
-                                               injector=injector)
+                                               telemetry=injector)
         system.run()
         outputs = _app_outputs(system, splan, app)
     except CixStallError as exc:

@@ -1,29 +1,31 @@
-"""The fault injector: the null-object hook surface of the chaos layer.
+"""The fault injector: the chaos layer's :class:`~repro.probe.Probe`.
 
-Components hold the shared :data:`NULL_INJECTOR` when injection is off,
-exactly like :data:`~repro.telemetry.NULL_TRACER`: the disabled path
-costs at most one attribute check per call site, and the core hot loops
-pay a single ``cycles >= _inj_next`` comparison pinned at ``+inf``
-(the interval-sampling trick of :class:`repro.telemetry.TimeSeries`).
-Arming the injector forces a core's fast engine to fall back to the
-instrumented loop transparently — the fast loop carries no hooks and
-stays untouched, so the clean path keeps its speed.
+An injector with faults to apply (``armed``) observes the core, so
+``engine="auto"`` runs its cores on the instrumented loop, whose
+``boundary`` and ``cix`` hooks apply the core-site faults; the fast
+loop carries no hooks and stays untouched, so the clean path keeps its
+speed.  The fabric calls ``link_delay``/``outbound``/``inbound`` on
+an enabled probe, and the scheduler reports deadlocks and watchdog
+expiries through ``deadlock``/``recv_timeout``.  An unarmed injector
+is not enabled: it observes nothing, the fabric skips it, and every
+engine stays available.
 
 Every consequence of an armed injector is logged as one event dict::
 
     {"kind": "fault"|"detect"|"recover", "site": ..., "tile": ...,
      "cycle": ..., ...detail..., ["cycles_cost": N]}
 
-and mirrored into telemetry (Stats counters under ``chaos.*``, typed
-Tracer instants, a ``chaos_event`` on the critpath recorder) so a
-campaign is attributable end to end.  Rules V1100-V1103 reconcile the
-event log against the plan and the run outcome.
+and mirrored into the ``telemetry`` probe it was given through
+``chaos_event`` (Stats counters under ``chaos.*``, typed Tracer
+instants, a side-band stream on the critpath recorder) so a campaign
+is attributable end to end.  Rules V1100-V1103 reconcile the event log
+against the plan and the run outcome.
 """
 
 import math
 
 from repro.chaos.plan import InjectionPlan
-from repro.telemetry import NULL_TELEMETRY
+from repro.probe import NULL_PROBE, Probe
 
 
 def _checksum_words(values):
@@ -67,25 +69,23 @@ class CixStallError(ChaosError):
         self.cycle = cycle
 
 
-class Injector:
+class Injector(Probe):
     """Applies one :class:`InjectionPlan` to one run, deterministically.
 
     One injector instance belongs to one run: it keeps per-channel
     message counters and the checksum side-band, so reusing an instance
-    across runs would misalign triggers.
+    across runs would misalign triggers.  ``telemetry`` is the probe its
+    events are mirrored into.
     """
-
-    enabled = True
 
     def __init__(self, plan, telemetry=None):
         if isinstance(plan, dict):
             plan = InjectionPlan.from_dict(plan)
         self.plan = plan.validate()
         self.recovery = plan.recovery
-        telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._stats = telemetry.stats
-        self._tracer = telemetry.tracer
-        self._recorder = telemetry.recorder
+        self.enabled = self.observes_core = plan.armed
+        self.recv_deadline = plan.recovery.recv_timeout
+        self._telemetry = telemetry if telemetry is not None else NULL_PROBE
         self.events = []
         self.recovery_cycles = 0
         # site "cix": {tile: frozenset(cfg ids)}
@@ -116,33 +116,14 @@ class Injector:
         self._sideband = {}        # (src, dst) -> [true words]
         self._fired = 0
 
-    @property
-    def armed(self):
-        return self.plan.armed
-
     # -- event log -----------------------------------------------------------
 
     def _log(self, kind, site, tile, cycle, **detail):
         event = {"kind": kind, "site": site, "tile": tile, "cycle": cycle}
         event.update(detail)
         self.events.append(event)
-        if self._stats.enabled:
-            self._stats.add(f"chaos.{kind}")
-            self._stats.add(f"chaos.{kind}.{site}")
-        if self._tracer.enabled:
-            if kind == "fault":
-                self._tracer.fault(tile, site, cycle, **detail)
-            elif kind == "detect":
-                self._tracer.fault_detected(tile, site, cycle, **detail)
-            else:
-                self._tracer.fault_recovered(tile, site, cycle, **detail)
-        if self._recorder.enabled:
-            self._recorder.chaos_event(tile, kind, site, cycle)
+        self._telemetry.chaos_event(tile, kind, site, cycle, detail)
         return event
-
-    def log_detect(self, site, tile, cycle, **detail):
-        """Detection reported by an outside policy (watchdog, deadlock)."""
-        return self._log("detect", site, tile, cycle, **detail)
 
     def log_recover(self, site, tile, cycle, **detail):
         """Recovery performed by an outside policy (plan remap)."""
@@ -168,20 +149,15 @@ class Injector:
 
     # -- core-side hooks -----------------------------------------------------
 
-    def attach_core(self, core):
-        """Wire a core: set its first boundary and stalled-cfg set."""
-        core._inj_cix = self._cix.get(core.core_id)
+    def attach(self, core):
+        """The core's first boundary: its earliest core-site fault."""
         faults = self._core_faults.get(core.core_id)
-        if faults:
-            core._inj_next = faults[0].cycle
-        else:
-            core._inj_next = math.inf
+        return faults[0].cycle if faults else math.inf
 
-    def fire_core(self, core):
+    def boundary(self, core):
         """Apply every due core-site fault; returns the next boundary.
 
-        Called by the execution engines when ``cycles >= _inj_next``;
-        fault application is architectural (no cycle charged) except
+        Fault application is architectural (no cycle charged) except
         for ECC scrubs, which charge ``recovery.ecc_penalty`` core
         cycles per corrected flip.
         """
@@ -236,12 +212,26 @@ class Injector:
                           cycles_cost=penalty, **detail)
         return faults[0].cycle if faults else math.inf
 
-    def cix_stall(self, tile, cfg, cycle):
-        """A stalled config was executed: log the detection and fail loud."""
+    def cix(self, tile, cfg, cycle):
+        """A stalled config is about to execute: log the detection and
+        fail loud."""
+        if cfg not in self._cix.get(tile, ()):
+            return
         self._fired += 1
         self._log("fault", "cix", tile, cycle, cfg=cfg)
         self._log("detect", "cix", tile, cycle, cfg=cfg)
         raise CixStallError(tile, cfg, cycle)
+
+    # -- scheduler-side hooks ------------------------------------------------
+
+    def deadlock(self, tile, peer, words, time):
+        if self.plan.armed:
+            self._log("detect", "deadlock", tile, time, waiting_on=peer)
+
+    def recv_timeout(self, tile, peer, waited, time, deadline, horizon):
+        if self.plan.armed:
+            self._log("detect", "recv", tile, time, waiting_on=peer,
+                      deadline=deadline, horizon=horizon)
 
     # -- NoC-side hook -------------------------------------------------------
 
@@ -339,55 +329,3 @@ class Injector:
 def _flip(value, bit):
     flipped = (value & 0xFFFFFFFF) ^ (1 << bit)
     return flipped - 0x100000000 if flipped & 0x80000000 else flipped
-
-
-class NullInjector:
-    """Disabled injector: every hook is a no-op."""
-
-    enabled = False
-    armed = False
-    events = ()
-    recovery_cycles = 0
-
-    def attach_core(self, core):
-        core._inj_cix = None
-        core._inj_next = math.inf
-
-    def fire_core(self, core):
-        return math.inf
-
-    def link_delay(self, src, dst, now):
-        return 0
-
-    def outbound(self, src, dst, values, now):
-        return values, False
-
-    def inbound(self, src, dst, values, finish):
-        return values, finish
-
-    def log_detect(self, site, tile, cycle, **detail):
-        pass
-
-    log_recover = log_detect
-
-    def triggered(self):
-        return 0
-
-    def untriggered(self):
-        return 0
-
-
-NULL_INJECTOR = NullInjector()
-
-
-def ensure_injector(value, telemetry=None):
-    """Normalize an ``injector=`` argument (None/False -> disabled).
-
-    A plan (or its dict form) is wrapped in a fresh :class:`Injector`
-    bound to ``telemetry``; an existing injector passes through as-is.
-    """
-    if value is None or value is False:
-        return NULL_INJECTOR
-    if isinstance(value, (InjectionPlan, dict)):
-        return Injector(value, telemetry=telemetry)
-    return value

@@ -10,8 +10,54 @@ window; only such operations may join a custom instruction
 
 from repro.cpu.core import Core, STOP_HALT
 from repro.mem.hierarchy import MemorySystem
+from repro.probe import Probe
 
 HOT_THRESHOLD = 0.05
+
+
+class BlockProfiler(Probe):
+    """Block entries and load/store address regions of one program.
+
+    Counts each basic block's entries (retirements of its leader) and,
+    per load/store, whether every address it touched lay in the SPM
+    and the address span it covered.
+    """
+
+    observes_core = True
+
+    def __init__(self, program):
+        self.program = program
+        self.block_counts = {}       # leader pc -> entries
+        self.spm_only = {}           # program index -> all addresses in SPM
+        self.mem_ranges = {}         # program index -> [min addr, max addr]
+        self._leaders = [False] * len(program)
+        for block in program.basic_blocks():
+            self._leaders[block.start] = True
+            self.block_counts[block.start] = 0
+
+    def retire(self, core, pc, cycles):
+        if self._leaders[pc]:
+            self.block_counts[pc] += 1
+
+    def mem_access(self, core, pc, addr):
+        is_spm = core.memory.is_spm(addr)
+        previous = self.spm_only.get(pc)
+        self.spm_only[pc] = is_spm if previous is None else (previous and is_spm)
+        span = self.mem_ranges.get(pc)
+        if span is None:
+            self.mem_ranges[pc] = [addr, addr]
+        else:
+            if addr < span[0]:
+                span[0] = addr
+            if addr > span[1]:
+                span[1] = addr
+
+    def block_instruction_counts(self):
+        """Dynamic instruction count per basic block."""
+        return {
+            block.index: self.block_counts[block.start] * len(block)
+            for block in self.program.basic_blocks()
+        }
 
 
 class HotBlock:
@@ -94,7 +140,8 @@ def profile_kernel(program, setup=None, memory=None, max_instructions=5_000_000)
     needs a terminating run.
     """
     memory = memory if memory is not None else MemorySystem.stitch()
-    core = Core(program, memory, profile=True)
+    profiler = BlockProfiler(program)
+    core = Core(program, memory, probe=profiler)
     if setup is not None:
         setup(core)
     result = core.run(max_instructions=max_instructions)
@@ -103,18 +150,16 @@ def profile_kernel(program, setup=None, memory=None, max_instructions=5_000_000)
             f"kernel {program.name!r} did not halt within "
             f"{max_instructions} instructions (reason: {result.reason})"
         )
-    counts = core.block_instruction_counts()
+    counts = profiler.block_instruction_counts()
     total = sum(counts.values()) or 1
     weights = {index: count / total for index, count in counts.items() if count}
     entries = {
-        block.index: core.block_counts[block.start]
+        block.index: profiler.block_counts[block.start]
         for block in program.basic_blocks()
     }
-    spm_only = {
-        pc for pc, all_spm in core.spm_only_accesses.items() if all_spm
-    }
+    spm_only = {pc for pc, all_spm in profiler.spm_only.items() if all_spm}
     mem_ranges = {
-        pc: (span[0], span[1]) for pc, span in core.mem_ranges.items()
+        pc: (span[0], span[1]) for pc, span in profiler.mem_ranges.items()
     }
     return ProfileResult(
         program, core.cycles, core.instret, weights, entries, spm_only,

@@ -14,15 +14,14 @@ Timing model (validated against the paper's counts in Figure 4):
   ``recv`` blocks (without retiring) until data is available.
 
 Execution is pluggable (``engine=`` on :class:`Core`): ``auto`` selects
-the pre-decoded fast loop of :mod:`repro.cpu.engine` when every
-observability channel is disabled and the instrumented dispatch loop
-otherwise; ``reference`` forces the retained original interpreter below
-(:meth:`Core._run_reference`), the oracle the differential tests hold
-both engines to.  All three produce identical architectural state,
-cycles, stall attribution and cache/SPM counters.
+the pre-decoded fast loop of :mod:`repro.cpu.engine` unless the core's
+``probe`` observes the core, and the instrumented loop — the only loop
+that fires probe hooks — when it does; ``reference`` forces the
+retained original interpreter below (:meth:`Core._run_reference`), the
+hook-free timing specification the differential tests hold both loops
+to.  All three produce identical architectural state, cycles, stall
+attribution and cache/SPM counters.
 """
-
-import math
 
 from repro.isa.instructions import (
     Op,
@@ -31,12 +30,9 @@ from repro.isa.instructions import (
     eval_shift,
     wrap32,
 )
-from repro.chaos.injector import NULL_INJECTOR
-from repro.critpath.recorder import NULL_RECORDER
 from repro.platform import DEFAULT_PLATFORM
+from repro.probe import NULL_PROBE
 from repro.telemetry.rollup import ATTRIBUTION_BUCKETS  # noqa: F401 (re-export)
-from repro.telemetry.timeseries import NULL_TIMESERIES
-from repro.telemetry.trace import NULL_TRACER
 
 STOP_HALT = "halt"
 STOP_LIMIT = "limit"
@@ -44,9 +40,9 @@ STOP_RECV = "recv"
 STOP_FROZEN = "frozen"
 
 #: Engine names accepted by :class:`Core`.  ``auto`` picks the fast
-#: loop when every observability channel is off and the instrumented
-#: loop otherwise; ``reference`` forces the retained original
-#: interpreter (the differential-testing oracle).
+#: loop unless the probe observes the core, and the instrumented loop
+#: when it does; ``reference`` forces the retained original interpreter
+#: (the differential-testing oracle).
 ENGINES = ("auto", "fast", "instrumented", "reference")
 
 # Immediate-form -> base-op folds, hoisted out of the hot loop (the
@@ -135,7 +131,12 @@ class NullComm(CommPort):
 
 
 class Core:
-    """One in-order core executing an assembled :class:`Program`."""
+    """One in-order core executing an assembled :class:`Program`.
+
+    ``probe`` (a :class:`repro.probe.Probe`) observes the core.  The
+    fast and reference loops fire no hooks, so naming either for a
+    probe that observes the core is a ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -145,20 +146,21 @@ class Core:
         comm=None,
         core_id=0,
         taken_branch_penalty=None,
-        profile=False,
-        profile_cycles=False,
-        tracer=None,
-        timeseries=None,
-        recorder=None,
         params=None,
         engine="auto",
-        injector=None,
+        probe=None,
     ):
         if params is None:
             params = DEFAULT_PLATFORM.core
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
+            )
+        probe = probe if probe is not None else NULL_PROBE
+        if probe.observes_core and engine in ("fast", "reference"):
+            raise ValueError(
+                f"engine={engine!r} fires no probe hooks, but {probe!r} "
+                f"observes the core; use engine='auto' or 'instrumented'"
             )
         self.engine = engine
         # Pre-decoded execution form + resident-line memo, built lazily
@@ -176,21 +178,9 @@ class Core:
             if taken_branch_penalty is not None
             else params.taken_branch_penalty
         )
-        self.profile = profile
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.timeseries = (
-            timeseries if timeseries is not None else NULL_TIMESERIES
-        )
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.injector = injector if injector is not None else NULL_INJECTOR
         #: Set by an armed injector's ``freeze`` fault: the core stops
         #: retiring and its run() returns ``STOP_FROZEN`` forever.
         self.frozen = False
-        self.profile_cycles = profile_cycles
-        # pc -> [cycles, retired]; every simulated cycle lands on exactly
-        # one pc, so sum(cycles) == self.cycles at instruction boundaries
-        # (the profiler-side twin of the attribution invariant).
-        self.pc_profile = {} if profile_cycles else None
 
         self.regs = [0] * params.num_regs
         self.pc = 0
@@ -209,32 +199,13 @@ class Core:
         self.stall_comm = 0
         self.cix_retired = 0
 
-        self.block_counts = {}
-        self.spm_only_accesses = {}  # program index -> all addresses in SPM
-        self.mem_ranges = {}         # program index -> [min addr, max addr]
-        self._is_leader = None
-        if profile:
-            leaders = [False] * len(program)
-            for block in program.basic_blocks():
-                leaders[block.start] = True
-                self.block_counts[block.start] = 0
-            self._is_leader = leaders
-
         self.cfg_table = getattr(program, "cfg_table", None)
 
-        # Interval sampling: the hot loop compares cycles against the
-        # next interval boundary; disabled collectors pin it at +inf so
-        # the disabled path costs exactly one comparison.
-        if self.timeseries.enabled:
-            self._ts_snap = self._timeseries_counters()
-            self._ts_next = self.timeseries.interval
-        else:
-            self._ts_snap = None
-            self._ts_next = math.inf
-
-        # Fault-injection boundary: same +inf trick; an armed injector
-        # sets the first trigger cycle (and the stalled-cfg set).
-        self.injector.attach_core(self)
+        # The instrumented loop calls ``probe.boundary`` once the clock
+        # reaches this cycle (interval sampling, fault injection); the
+        # null probe pins it at +inf, one comparison per instruction.
+        self.probe = probe
+        self._boundary = probe.attach(self)
 
     # -- register helpers ----------------------------------------------------
 
@@ -251,37 +222,25 @@ class Core:
 
     def run(self, max_instructions=None, max_cycles=None):
         """Run until halt, a blocking receive, or a limit; resumable."""
-        tracer = self.tracer
-        if not tracer.enabled:
+        probe = self.probe
+        if not probe.enabled:
             return self._dispatch(max_instructions, max_cycles)
         slice_cycles = self.cycles
         slice_instret = self.instret
         result = self._dispatch(max_instructions, max_cycles)
         retired = self.instret - slice_instret
         if retired or self.cycles > slice_cycles:
-            tracer.tile_span(
+            probe.tile_span(
                 self.core_id, self.program.name, slice_cycles, self.cycles,
                 result.reason, retired,
             )
         return result
 
     def selected_engine(self):
-        """The loop ``run`` will enter: resolves ``auto`` to a mode.
-
-        An armed injector needs the boundary/hook sites the fast loop
-        deliberately omits, so both ``auto`` and an explicit ``fast``
-        fall back to the instrumented loop transparently while faults
-        are in play.
-        """
-        if self.engine == "fast":
-            return "instrumented" if self.injector.armed else "fast"
+        """The loop ``run`` will enter: resolves ``auto`` to a mode."""
         if self.engine != "auto":
             return self.engine
-        if (self.profile or self.profile_cycles or self.tracer.enabled
-                or self.timeseries.enabled or self.recorder.enabled
-                or self.injector.armed):
-            return "instrumented"
-        return "fast"
+        return "instrumented" if self.probe.observes_core else "fast"
 
     def _dispatch(self, max_instructions, max_cycles):
         from repro.cpu import engine as engine_mod
@@ -316,21 +275,14 @@ class Core:
         Kept as the executable specification of the timing model: the
         dispatch engines in :mod:`repro.cpu.engine` are held
         bit-identical to this loop by the differential suite
-        (``tests/cpu/test_engine_differential.py``).  Select it with
-        ``Core(..., engine="reference")``.
+        (``tests/cpu/test_engine_differential.py``).  It calls no
+        observer.  Select it with ``Core(..., engine="reference")``.
         """
         program = self.program.instructions
         regs = self.regs
         memory = self.memory
         fetch = memory.fetch
-        profile = self.profile
-        leaders = self._is_leader
-        block_counts = self.block_counts
         penalty = self.taken_branch_penalty
-        tracer = self.tracer
-        pc_profile = self.pc_profile
-        ts_next = self._ts_next
-        inj_next = self._inj_next
         start_instret = self.instret
 
         while not self.halted:
@@ -338,29 +290,16 @@ class Core:
                 return RunResult(STOP_LIMIT, self.cycles, self.instret)
             if max_cycles is not None and self.cycles >= max_cycles:
                 return RunResult(STOP_LIMIT, self.cycles, self.instret)
-            if self.cycles >= ts_next:
-                self.flush_timeseries()
-                ts_next = self._ts_next
-            if self.cycles >= inj_next:
-                inj_next = self._fire_injector()
-                if self.frozen:
-                    return RunResult(STOP_FROZEN, self.cycles, self.instret)
             pc = self.pc
             if not 0 <= pc < len(program):
                 raise ExecutionError(self.core_id, self.program.name, pc)
             instr = program[pc]
             op = instr.op
-            if profile and leaders[pc]:
-                block_counts[pc] += 1
 
             cost = fetch(pc, instr.words) - (instr.words - 1)
             # fetch() returns hit_latency per word + miss stalls; the
             # issue slot already covers one cycle, extra words overlap.
-            fetch_stall = cost - 1
-            if fetch_stall:
-                self.stall_icache += fetch_stall
-                if tracer.enabled:
-                    tracer.cache_miss(self.core_id, "icache", pc, self.cycles)
+            self.stall_icache += cost - 1
             next_pc = pc + 1
 
             if op is Op.LW:
@@ -371,22 +310,12 @@ class Core:
                 cost += mem_cycles - 1
                 if mem_cycles > 1:
                     self.stall_memory += mem_cycles - 1
-                    if tracer.enabled:
-                        tracer.cache_miss(self.core_id, "dcache", addr,
-                                          self.cycles)
-                if profile:
-                    self._note_region(pc, addr)
             elif op is Op.SW:
                 addr = (regs[instr.ra] + instr.imm) & 0xFFFFFFFF
                 mem_cycles = memory.write(addr, regs[instr.rd])
                 cost += mem_cycles - 1
                 if mem_cycles > 1:
                     self.stall_memory += mem_cycles - 1
-                    if tracer.enabled:
-                        tracer.cache_miss(self.core_id, "dcache", addr,
-                                          self.cycles)
-                if profile:
-                    self._note_region(pc, addr)
             elif op is Op.ADD:
                 if instr.rd != 0:
                     regs[instr.rd] = wrap32(regs[instr.ra] + regs[instr.rb])
@@ -426,8 +355,6 @@ class Core:
                     regs[instr.rd] = instr.imm
             elif op is Op.CIX:
                 self.cix_retired += 1
-                if tracer.enabled:
-                    tracer.cix(self.core_id, instr.cfg, self.cycles)
                 outs = self._execute_cix(instr)
                 for reg, value in zip(instr.outs, outs):
                     if reg != 0:
@@ -477,17 +404,6 @@ class Core:
                 finish = self.comm.send(peer, values, start)
                 self.cycles = finish
                 self.stall_comm += finish - start - 1  # 1 = the issue slot
-                if self.recorder.enabled:
-                    self.recorder.send(self.core_id, peer, count, start,
-                                       finish, self._recorder_counters())
-                if tracer.enabled:
-                    tracer.comm_send(self.core_id, peer, count, start, finish)
-                if pc_profile is not None:
-                    entry = pc_profile.get(pc)
-                    if entry is None:
-                        entry = pc_profile[pc] = [0, 0]
-                    entry[0] += finish - start
-                    entry[1] += 1
                 self.pc = next_pc
                 self.instret += 1
                 continue
@@ -497,29 +413,12 @@ class Core:
                 count = regs[instr.rd]
                 result = self.comm.try_recv(peer, count, self.cycles)
                 if result is None:
-                    if self.recorder.enabled:
-                        self.recorder.recv_blocked(self.core_id, peer, count,
-                                                   self.cycles)
-                    if tracer.enabled:
-                        tracer.comm_blocked(self.core_id, peer, count,
-                                            self.cycles)
                     return RunResult(STOP_RECV, self.cycles, self.instret)
                 values, finish = result
                 memory.load(base, values)  # NIC DMA bypasses the cache
                 start = self.cycles
                 self.cycles = finish
                 self.stall_comm += finish - start - 1  # 1 = the issue slot
-                if self.recorder.enabled:
-                    self.recorder.recv(self.core_id, peer, count, start,
-                                       finish, self._recorder_counters())
-                if tracer.enabled:
-                    tracer.comm_recv(self.core_id, peer, count, start, finish)
-                if pc_profile is not None:
-                    entry = pc_profile.get(pc)
-                    if entry is None:
-                        entry = pc_profile[pc] = [0, 0]
-                    entry[0] += finish - start
-                    entry[1] += 1
                 self.pc = next_pc
                 self.instret += 1
                 continue
@@ -530,12 +429,6 @@ class Core:
             self.cycles += cost
             self.instret += 1
             self.pc = next_pc
-            if pc_profile is not None:
-                entry = pc_profile.get(pc)
-                if entry is None:
-                    entry = pc_profile[pc] = [0, 0]
-                entry[0] += cost
-                entry[1] += 1
 
         return RunResult(STOP_HALT, self.cycles, self.instret)
 
@@ -559,99 +452,10 @@ class Core:
             "total": self.cycles,
         }
 
-    def _recorder_counters(self):
-        """Counter snapshot in :data:`repro.critpath.COUNTER_FIELDS`
-        order — the compute-segment deltas the dependency recorder
-        attaches to each comm op."""
-        memory = self.memory
-        return (
-            self.instret,
-            self.stall_memory,
-            self.stall_icache,
-            self.stall_branch,
-            memory.icache.misses,
-            memory.dcache.misses,
-            memory.dcache.writebacks,
-            self.cix_retired,
-        )
-
-    def _timeseries_counters(self):
-        """Current values of every counter the interval sampler tracks."""
-        ih, im, dh, dm = self.memory.counter_snapshot()
-        return {
-            "cycles": self.cycles,
-            "instructions": self.instret,
-            "memory_stall": self.stall_memory,
-            "icache_stall": self.stall_icache,
-            "branch_bubble": self.stall_branch,
-            "comm_blocked": self.stall_comm,
-            "icache_hits": ih,
-            "icache_misses": im,
-            "dcache_hits": dh,
-            "dcache_misses": dm,
-        }
-
-    def flush_timeseries(self):
-        """Close the current sampling interval.
-
-        Folds every counter delta since the previous sample into the
-        interval containing the cycle at which the delta *began* (the
-        previous snapshot), so per-interval sums reconcile exactly with
-        the end-of-run totals no matter where the flush lands, and
-        successive samples carry strictly increasing interval indices.
-        Called by the interpreter at interval boundaries and by the
-        harness once a run finishes.
-        """
-        ts = self.timeseries
-        if not ts.enabled:
-            return
-        now = self._timeseries_counters()
-        snap = self._ts_snap
-        deltas = {
-            field: now[field] - snap[field]
-            for field in now
-            if now[field] != snap[field]
-        }
-        if deltas:
-            ts.tile_sample(self.core_id, snap["cycles"], deltas)
-        self._ts_snap = now
-        self._ts_next = (self.cycles // ts.interval + 1) * ts.interval
-
-    def _fire_injector(self):
-        """Apply due injected faults; returns the next boundary cycle."""
-        self._inj_next = self.injector.fire_core(self)
-        return self._inj_next
-
     def _execute_cix(self, instr):
         if self.patch is None:
             raise BlockedError(
                 f"core {self.core_id}: cix executed but no patch is attached"
             )
-        if self._inj_cix is not None and instr.cfg in self._inj_cix:
-            self.injector.cix_stall(self.core_id, instr.cfg, self.cycles)
         in_values = [self.regs[r] for r in instr.ins]
         return self.patch.execute(instr.cfg, in_values)
-
-    def _note_region(self, pc, addr):
-        is_spm = self.memory.is_spm(addr)
-        previous = self.spm_only_accesses.get(pc)
-        self.spm_only_accesses[pc] = is_spm if previous is None else (previous and is_spm)
-        span = self.mem_ranges.get(pc)
-        if span is None:
-            self.mem_ranges[pc] = [addr, addr]
-        else:
-            if addr < span[0]:
-                span[0] = addr
-            if addr > span[1]:
-                span[1] = addr
-
-    # -- profiling ---------------------------------------------------------------
-
-    def block_instruction_counts(self):
-        """Dynamic instruction count per basic block (requires profile=True)."""
-        if not self.profile:
-            raise RuntimeError("core was created with profile=False")
-        result = {}
-        for block in self.program.basic_blocks():
-            result[block.index] = self.block_counts[block.start] * len(block)
-        return result

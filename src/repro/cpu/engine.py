@@ -2,18 +2,19 @@
 
 Two entry loops share the decode pass of :mod:`repro.isa.decoded` and
 the architectural/timing semantics of the reference interpreter
-(``Core._run_reference``):
+(``Core._run_reference``), which fires no hooks:
 
 * :func:`run_instrumented` — dispatches through :data:`HANDLERS` (one
-  small function per op family) and preserves the reference loop's
-  exact telemetry behaviour: tracer events, interval samples, recorder
-  hooks, the PC-cycle profiler and the block/region profile all fire at
-  the same simulated cycle with the same arguments.
-* :func:`run_fast` — selected when every observability channel is
-  disabled.  All flag checks are hoisted out of the per-instruction
-  path, architectural and timing state live in locals, dispatch is a
-  frequency-ordered ladder over dense integer kinds, and the two
-  dominant memory operations take memoized fast paths:
+  small function per op family) and is the one loop that fires the
+  core's probe hooks (:mod:`repro.probe`): the boundary hook when the
+  clock reaches ``core._boundary``, cache misses, ``cix``, the comm
+  trio, and — only when the probe overrides them — the per-instruction
+  ``retire`` and ``mem_access`` hooks.
+* :func:`run_fast` — selected when the probe does not observe the
+  core.  It fires no hook, architectural and timing state live in
+  locals, dispatch is a frequency-ordered ladder over dense integer
+  kinds, and the two dominant memory operations take memoized fast
+  paths:
 
   - **resident-line fetch**: when the program's code footprint fits the
     I-cache outright (``DecodedProgram.resident_ok``), a per-PC flag
@@ -86,6 +87,7 @@ from repro.isa.decoded import (
     NUM_KINDS,
 )
 from repro.isa.instructions import wrap32
+from repro.probe import overrides
 
 _MASK32 = 0xFFFFFFFF
 _SIGN32 = 0x80000000
@@ -114,10 +116,7 @@ def _h_lw(core, ex, regs):
     extra = mem_cycles - 1
     if extra > 0:
         core.stall_memory += extra
-        if core.tracer.enabled:
-            core.tracer.cache_miss(core.core_id, "dcache", addr, core.cycles)
-    if core.profile:
-        core._note_region(ex.pc, addr)
+        core.probe.cache_miss(core.core_id, "dcache", addr, core.cycles)
     return extra
 
 
@@ -133,17 +132,13 @@ def _h_sw(core, ex, regs):
     extra = mem_cycles - 1
     if extra > 0:
         core.stall_memory += extra
-        if core.tracer.enabled:
-            core.tracer.cache_miss(core.core_id, "dcache", addr, core.cycles)
-    if core.profile:
-        core._note_region(ex.pc, addr)
+        core.probe.cache_miss(core.core_id, "dcache", addr, core.cycles)
     return extra
 
 
 def _h_cix(core, ex, regs):
     core.cix_retired += 1
-    if core.tracer.enabled:
-        core.tracer.cix(core.core_id, ex.cfg, core.cycles)
+    core.probe.cix(core.core_id, ex.cfg, core.cycles)
     outs = core._execute_cix(ex)
     for reg, value in zip(ex.outs, outs):
         if reg != 0:
@@ -320,12 +315,12 @@ HANDLERS[K_NOP] = _h_nop
 # -- instrumented loop ------------------------------------------------------
 
 def run_instrumented(core, max_instructions=None, max_cycles=None):
-    """Pre-decoded loop with full observability (reference-exact).
+    """Pre-decoded loop that fires the core's probe hooks.
 
-    Identical structure to ``Core._run_reference`` — same limit/sample
-    checks, same hook call sites, same state update order — with the
-    per-retire decode replaced by an :class:`ExecOp` slot lookup and
-    the value-op ladder by the :data:`HANDLERS` table.
+    Identical timing to ``Core._run_reference`` — same limit checks,
+    same state update order — with the per-retire decode replaced by an
+    :class:`ExecOp` slot lookup and the value-op ladder by the
+    :data:`HANDLERS` table.
     """
     decoded = core._ensure_decoded()
     ops = decoded.ops
@@ -333,14 +328,13 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
     regs = core.regs
     memory = core.memory
     fetch = memory.fetch
-    profile = core.profile
-    leaders = core._is_leader
-    block_counts = core.block_counts
     penalty = core.taken_branch_penalty
-    tracer = core.tracer
-    pc_profile = core.pc_profile
-    ts_next = core._ts_next
-    inj_next = core._inj_next
+    probe = core.probe
+    # Per-instruction hooks are looked up once, and skipped entirely
+    # for probes that leave them as no-ops.
+    retire = probe.retire if overrides(probe, "retire") else None
+    mem_access = probe.mem_access if overrides(probe, "mem_access") else None
+    boundary = core._boundary
     start_instret = core.instret
     handlers = HANDLERS
 
@@ -350,11 +344,8 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
             return RunResult(STOP_LIMIT, core.cycles, core.instret)
         if max_cycles is not None and core.cycles >= max_cycles:
             return RunResult(STOP_LIMIT, core.cycles, core.instret)
-        if core.cycles >= ts_next:
-            core.flush_timeseries()
-            ts_next = core._ts_next
-        if core.cycles >= inj_next:
-            inj_next = core._fire_injector()
+        if core.cycles >= boundary:
+            boundary = core._boundary = probe.boundary(core)
             if core.frozen:
                 return RunResult(STOP_FROZEN, core.cycles, core.instret)
         pc = core.pc
@@ -362,18 +353,16 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
             raise ExecutionError(core.core_id, core.program.name, pc)
         ex = ops[pc]
         kind = ex.kind
-        if profile and leaders[pc]:
-            block_counts[pc] += 1
 
         cost = fetch(pc, ex.words) - (ex.words - 1)
-        fetch_stall = cost - 1
-        if fetch_stall:
-            core.stall_icache += fetch_stall
-            if tracer.enabled:
-                tracer.cache_miss(core.core_id, "icache", pc, core.cycles)
+        if cost != 1:
+            core.stall_icache += cost - 1
+            probe.cache_miss(core.core_id, "icache", pc, core.cycles)
         next_pc = pc + 1
 
         if kind < FIRST_CONTROL:
+            if mem_access is not None and (kind == K_LW or kind == K_SW):
+                mem_access(core, pc, (regs[ex.ra] + ex.imm) & _MASK32)
             cost += handlers[kind](core, ex, regs)
         elif kind <= K_BGEU:
             lhs = regs[ex.ra]
@@ -418,17 +407,9 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
             finish = core.comm.send(peer, values, start)
             core.cycles = finish
             core.stall_comm += finish - start - 1  # 1 = the issue slot
-            if core.recorder.enabled:
-                core.recorder.send(core.core_id, peer, count, start,
-                                   finish, core._recorder_counters())
-            if tracer.enabled:
-                tracer.comm_send(core.core_id, peer, count, start, finish)
-            if pc_profile is not None:
-                entry = pc_profile.get(pc)
-                if entry is None:
-                    entry = pc_profile[pc] = [0, 0]
-                entry[0] += finish - start
-                entry[1] += 1
+            probe.comm_send(core.core_id, peer, count, start, finish)
+            if retire is not None:
+                retire(core, pc, finish - start)
             core.pc = next_pc
             core.instret += 1
             continue
@@ -438,29 +419,16 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
             count = regs[ex.rd]
             result = core.comm.try_recv(peer, count, core.cycles)
             if result is None:
-                if core.recorder.enabled:
-                    core.recorder.recv_blocked(core.core_id, peer, count,
-                                               core.cycles)
-                if tracer.enabled:
-                    tracer.comm_blocked(core.core_id, peer, count,
-                                        core.cycles)
+                probe.comm_blocked(core.core_id, peer, count, core.cycles)
                 return RunResult(STOP_RECV, core.cycles, core.instret)
             values, finish = result
             memory.load(base, values)  # NIC DMA bypasses the cache
             start = core.cycles
             core.cycles = finish
             core.stall_comm += finish - start - 1  # 1 = the issue slot
-            if core.recorder.enabled:
-                core.recorder.recv(core.core_id, peer, count, start,
-                                   finish, core._recorder_counters())
-            if tracer.enabled:
-                tracer.comm_recv(core.core_id, peer, count, start, finish)
-            if pc_profile is not None:
-                entry = pc_profile.get(pc)
-                if entry is None:
-                    entry = pc_profile[pc] = [0, 0]
-                entry[0] += finish - start
-                entry[1] += 1
+            probe.comm_recv(core.core_id, peer, count, start, finish)
+            if retire is not None:
+                retire(core, pc, finish - start)
             core.pc = next_pc
             core.instret += 1
             continue
@@ -471,12 +439,8 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
         core.cycles += cost
         core.instret += 1
         core.pc = next_pc
-        if pc_profile is not None:
-            entry = pc_profile.get(pc)
-            if entry is None:
-                entry = pc_profile[pc] = [0, 0]
-            entry[0] += cost
-            entry[1] += 1
+        if retire is not None:
+            retire(core, pc, cost)
 
     return RunResult(STOP_HALT, core.cycles, core.instret)
 
@@ -484,22 +448,14 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
 # -- fast loop --------------------------------------------------------------
 
 def run_fast(core, max_instructions=None, max_cycles=None):
-    """Observability-free loop: locals, tuples, memoized memory paths.
+    """Hook-free loop: locals, tuples, memoized memory paths.
 
-    Requires every telemetry channel disabled (``Core`` only selects it
-    then); raises ``ValueError`` if forced onto an instrumented core.
-    Produces bit-identical architectural state, cycles, stall
-    attribution and cache/SPM counters to the reference interpreter —
-    the differential suite in ``tests/cpu`` holds it to that.
+    Fires no probe hook (``Core`` refuses ``engine="fast"`` for a probe
+    that observes the core).  Produces bit-identical architectural
+    state, cycles, stall attribution and cache/SPM counters to the
+    reference interpreter — the differential suite in ``tests/cpu``
+    holds it to that.
     """
-    if (core.profile or core.profile_cycles or core.tracer.enabled
-            or core.timeseries.enabled or core.recorder.enabled
-            or core.injector.armed):
-        raise ValueError(
-            "engine='fast' cannot honor enabled observability "
-            "(profiler/tracer/timeseries/recorder/injector); use "
-            "engine='auto' or 'instrumented'"
-        )
     if core.halted:
         return RunResult(STOP_HALT, core.cycles, core.instret)
     decoded = core._ensure_decoded()

@@ -3,8 +3,7 @@
 The package splits into a recording side and an analysis side:
 
 * :mod:`repro.critpath.recorder` — the :class:`DependencyRecorder`
-  hooks that observe a run (cores, message fabric, NoC) and the
-  :data:`NULL_RECORDER` null object installed when recording is off;
+  probe that observes a run (cores, message fabric, NoC);
 * :mod:`repro.critpath.graph` — the causal
   :class:`DependencyGraph` built from a recording (JSON-round-trippable);
 * :mod:`repro.critpath.analyze` — critical path, slack/float,
@@ -24,10 +23,7 @@ from repro.critpath.matcher import ChannelMatcher
 from repro.critpath.recorder import (
     COUNTER_FIELDS,
     DependencyRecorder,
-    NULL_RECORDER,
-    NullDependencyRecorder,
     OpRecord,
-    ensure_recorder,
 )
 from repro.critpath.whatif import (
     WhatIfError,
@@ -43,14 +39,11 @@ __all__ = [
     "CritPathAnalysis",
     "DependencyGraph",
     "DependencyRecorder",
-    "NULL_RECORDER",
-    "NullDependencyRecorder",
     "OpRecord",
     "WhatIfError",
     "WhatIfInfeasible",
     "WhatIfSpec",
     "analyze",
-    "ensure_recorder",
     "project",
     "render_gantt",
     "render_summary",

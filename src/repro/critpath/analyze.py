@@ -243,11 +243,12 @@ class CritPathAnalysis:
         frontier = {
             tile: dict(info) for tile, info in self.graph.blocked.items()
         }
-        blocked_snap = self.graph.snapshot.get("blocked_tiles")
-        if blocked_snap is None and self.graph.snapshot:
-            # DeadlockError snapshots map tiles directly.
-            blocked_snap = self.graph.snapshot
-        for tile, info in (blocked_snap or {}).items():
+        snapshot = self.graph.snapshot
+        # Round-budget and watchdog snapshots nest the blocked tiles;
+        # deadlock snapshots map tiles directly.
+        blocked_snap = snapshot.get("blocked_tiles",
+                                    snapshot.get("tiles", snapshot))
+        for tile, info in blocked_snap.items():
             entry = frontier.setdefault(int(tile), {})
             entry["snapshot"] = info
         return frontier

@@ -3,38 +3,32 @@
 A :class:`DependencyRecorder` observes one run of the co-simulator and
 keeps, per tile, the alternating compute/communication segments in
 program order, plus the cross-tile provenance of every received word.
-The hooks are *telemetry-style*: components hold the shared
-:data:`NULL_RECORDER` when recording is off, and every warm call site
-is guarded by a single ``if recorder.enabled`` check — the interpreter
-hot loop itself carries **no** per-instruction work, because compute
-segments are reconstructed from the tile-local clock at the comm
-events that bracket them.
+The recorder is a :class:`~repro.probe.Probe` with no per-instruction
+hook: compute segments are reconstructed from the tile-local clock at
+the comm events that bracket them.
 
-Two half-hooks meet per communication op:
+The fabric records each communication op as it completes it:
+``fabric_send`` knows the NoC arrival, the injection-done cycle and
+the per-link crossings, ``fabric_recv`` the ready time, the drain and
+the FIFO provenance of the popped words (via :class:`ChannelMatcher`).
+Each record also snapshots the counters of the core it was attached
+to (instructions, stall buckets, cache misses/writebacks), so each
+compute segment carries an exact attribution and miss composition (the
+substrate of DRAM-latency what-ifs).
 
-* the **fabric** reports the timing facts it alone knows —
-  ``fabric_send`` (NoC arrival + injection-done cycles, per-link
-  crossings) and ``fabric_recv`` (ready time, drain, and the FIFO
-  provenance of the popped words via :class:`ChannelMatcher`);
-* the **core** closes the op — ``send``/``recv`` with its local issue
-  and finish cycles plus a counter snapshot (instructions, stall
-  buckets, cache misses/writebacks) so each compute segment carries an
-  exact attribution and miss composition (the substrate of
-  DRAM-latency what-ifs).
-
-``tile_done``/``finish`` finalize a complete run; ``finish`` with a
-``deadlock``/``budget`` outcome finalizes a *partial* graph whose
-blocked receives become frontier nodes instead of crashing the
-analysis.
+``run_end`` finalizes the run; a ``deadlock``/``timeout``/``budget``
+outcome finalizes a *partial* graph whose blocked receives become
+frontier nodes instead of crashing the analysis.
 
 This module must not import :mod:`repro.telemetry` or the simulator —
 both import it.
 """
 
 from repro.critpath.matcher import ChannelMatcher
+from repro.probe import Probe
 
-#: Counter snapshot order (see :meth:`Core._recorder_counters`).  The
-#: first four partition a compute segment's cycles exactly
+#: Counter snapshot order (see :func:`counters`).  The first four
+#: partition a compute segment's cycles exactly
 #: (``cycles == instructions + memory + icache + branch`` between comm
 #: ops — the attribution invariant); the last three are the DRAM-touch
 #: counts a ``dram_latency`` what-if needs (each miss/writeback costs
@@ -51,6 +45,21 @@ COUNTER_FIELDS = (
 )
 
 _ZEROS = (0,) * len(COUNTER_FIELDS)
+
+
+def counters(core):
+    """``core``'s counter snapshot in :data:`COUNTER_FIELDS` order."""
+    memory = core.memory
+    return (
+        core.instret,
+        core.stall_memory,
+        core.stall_icache,
+        core.stall_branch,
+        memory.icache.misses,
+        memory.dcache.misses,
+        memory.dcache.writebacks,
+        core.cix_retired,
+    )
 
 KIND_SEND = "send"
 KIND_RECV = "recv"
@@ -157,14 +166,14 @@ class OpRecord:
                 f"@{self.issue}..{self.end})")
 
 
-class DependencyRecorder:
+class DependencyRecorder(Probe):
     """Records the causal dependency structure of one run."""
 
-    enabled = True
+    observes_core = True
 
     def __init__(self, platform=None):
         self.records = []
-        self.outcome = None            # "complete" | "deadlock" | "budget"
+        self.outcome = None   # "complete" | "deadlock" | "timeout" | "budget"
         self.snapshot = {}             # error snapshot for partial runs
         self.blocked = {}              # tile -> {"peer", "words", "cycles"}
         self.meta = {}
@@ -179,61 +188,47 @@ class DependencyRecorder:
         self._prev_end = {}            # tile -> local clock after last event
         self._seq = {}                 # tile -> next sequence number
         self._crossings = []           # scratch: current packet's links
-        self._pending_send = None
-        self._pending_recv = None
+        self._cores = {}               # tile -> core (counter snapshots)
 
-    # -- fabric-side half-hooks ---------------------------------------------
+    def attach(self, core):
+        self._cores[core.core_id] = core
+        return super().attach(core)
 
-    def noc_crossing(self, link, crossed, flits, waited):
+    # -- fabric-side hooks --------------------------------------------------
+
+    def link_reserved(self, link, src, dst, start, flits, waited):
         """One packet crossing one directed link (from the NoC model)."""
-        self._crossings.append((f"{link[0]}->{link[1]}", crossed, flits,
+        self._crossings.append((f"{link[0]}->{link[1]}", start, flits,
                                 waited))
 
-    def fabric_send(self, src, dst, words, now, arrival, injection_done):
-        """The fabric injected a message; core-side ``send`` closes it."""
-        crossings = self._crossings
+    def fabric_send(self, src, dst, words, now, arrival, injection_done,
+                    dropped=False):
+        """A send left its core, which is busy until ``injection_done``.
+        A dropped message arrives nowhere, so no receive can pop it."""
+        record = self._record(KIND_SEND, src, now, injection_done,
+                              counters(self._cores[src]), peer=dst,
+                              words=words,
+                              arrival=injection_done if dropped else arrival,
+                              inject=injection_done - now,
+                              crossings=self._crossings)
         self._crossings = []
-        self._pending_send = (src, dst, words, now, arrival, injection_done,
-                              crossings)
+        if not dropped:
+            self._matcher.push(src, dst, record.index, words)
 
     def fabric_recv(self, src, dst, words, now, ready, finish, drain):
-        """The fabric satisfied a receive; core-side ``recv`` closes it."""
-        sources = self._matcher.pop(src, dst, words)
-        self._pending_recv = (src, dst, words, now, ready, finish, drain,
-                              sources)
+        """A receive popped its words: the core is busy until ``finish``."""
+        self.blocked.pop(dst, None)
+        self._record(KIND_RECV, dst, now, finish, counters(self._cores[dst]),
+                     peer=src, words=words, ready=ready, drain=drain,
+                     sources=self._matcher.pop(src, dst, words))
 
     # -- core-side hooks -----------------------------------------------------
 
-    def send(self, tile, peer, words, issue, end, counters):
-        pending = self._pending_send
-        self._pending_send = None
-        if pending is not None and pending[0] == tile and pending[3] == issue:
-            arrival, crossings = pending[4], pending[6]
-        else:  # no fabric hook (bare harness): injection is all we know
-            arrival, crossings = end, ()
-        record = self._record(KIND_SEND, tile, issue, end, counters,
-                              peer=peer, words=words, arrival=arrival,
-                              inject=end - issue, crossings=crossings)
-        self._matcher.push(tile, peer, record.index, words)
-        return record
-
-    def recv(self, tile, peer, words, issue, end, counters):
-        pending = self._pending_recv
-        self._pending_recv = None
-        if pending is not None and pending[1] == tile and pending[3] == issue:
-            ready, drain, sources = pending[4], pending[6], pending[7]
-        else:
-            ready, drain, sources = issue, end - issue, ()
-        self.blocked.pop(tile, None)
-        return self._record(KIND_RECV, tile, issue, end, counters,
-                            peer=peer, words=words, ready=ready,
-                            drain=drain, sources=sources)
-
-    def recv_blocked(self, tile, peer, words, now):
+    def comm_blocked(self, tile, peer, words, time):
         """A receive found no data; overwritten on every re-poll."""
-        self.blocked[tile] = {"peer": peer, "words": words, "cycles": now}
+        self.blocked[tile] = {"peer": peer, "words": words, "cycles": time}
 
-    def chaos_event(self, tile, kind, site, cycle):
+    def chaos_event(self, tile, kind, site, cycle, detail):
         """A fault-injection event (fault/detect/recover) on one tile.
 
         Kept as a side-band annotation stream so causal analyses can
@@ -244,23 +239,26 @@ class DependencyRecorder:
 
     # -- finalization --------------------------------------------------------
 
-    def tile_done(self, tile, cycles, reason, counters):
-        """Close a tile's timeline: its final compute segment + state.
+    def run_end(self, cores, reasons, outcome, snapshot=None, energy=None,
+                rollup=None):
+        """Close every tile's timeline: its final compute segment + state.
 
-        ``reason`` is the core's stop reason — ``halt`` for a finished
-        tile, anything else (a blocked receive, an exhausted round
-        budget) yields a ``blocked`` or ``cut`` terminal so partial
-        graphs stay analyzable.
+        A core whose stop reason is ``halt`` ends finished; anything
+        else (a blocked receive, an exhausted round budget) yields a
+        ``blocked`` or ``cut`` terminal so partial graphs stay
+        analyzable.
         """
-        if reason == KIND_HALT:
-            return self._record(KIND_HALT, tile, cycles, cycles, counters)
-        info = self.blocked.get(tile)
-        if info is not None:
-            return self._record(KIND_BLOCKED, tile, cycles, cycles, counters,
-                                peer=info["peer"], words=info["words"])
-        return self._record(KIND_CUT, tile, cycles, cycles, counters)
-
-    def finish(self, outcome="complete", snapshot=None):
+        for core in cores:
+            tile, cycles = core.core_id, core.cycles
+            snap = counters(core)
+            info = self.blocked.get(tile)
+            if reasons[core] == KIND_HALT:
+                self._record(KIND_HALT, tile, cycles, cycles, snap)
+            elif info is not None:
+                self._record(KIND_BLOCKED, tile, cycles, cycles, snap,
+                             peer=info["peer"], words=info["words"])
+            else:
+                self._record(KIND_CUT, tile, cycles, cycles, snap)
         self.outcome = outcome
         if snapshot is not None:
             self.snapshot = snapshot
@@ -299,43 +297,3 @@ class DependencyRecorder:
                           issue - prev_end, deltas, **fields)
         self.records.append(record)
         return record
-
-
-class NullDependencyRecorder:
-    """Disabled recorder: every hook is a no-op."""
-
-    enabled = False
-    records = ()
-    outcome = None
-    snapshot = {}
-    blocked = {}
-    meta = {}
-    chaos_events = ()
-
-    def noc_crossing(self, *args, **kwargs):
-        pass
-
-    fabric_send = fabric_recv = noc_crossing
-    send = recv = recv_blocked = noc_crossing
-    tile_done = finish = chaos_event = noc_crossing
-
-    def tiles(self):
-        return {}
-
-    def makespan(self):
-        return 0
-
-    def __len__(self):
-        return 0
-
-
-NULL_RECORDER = NullDependencyRecorder()
-
-
-def ensure_recorder(value):
-    """Normalize a ``recorder=`` argument (None/False -> disabled)."""
-    if value is None or value is False:
-        return NULL_RECORDER
-    if value is True:
-        return DependencyRecorder()
-    return value

@@ -48,25 +48,6 @@ class RecordedRun:
         return payload
 
 
-def recording_telemetry(platform=None):
-    """A telemetry bundle with *only* the dependency recorder enabled.
-
-    Returns ``(telemetry, recorder)``; stats/tracing/sampling stay the
-    null sinks so recording adds nothing to the instruction hot loop.
-    """
-    from repro.telemetry import (
-        NULL_STATS,
-        NULL_TIMESERIES,
-        NULL_TRACER,
-        Telemetry,
-    )
-
-    recorder = DependencyRecorder(platform)
-    telemetry = Telemetry(NULL_STATS, NULL_TRACER, NULL_TIMESERIES,
-                          recorder=recorder)
-    return telemetry, recorder
-
-
 def record_kernel(name, seed=1, platform=None, max_instructions=5_000_000):
     """Record one kernel's baseline program on a bare tile."""
     from repro.cpu.core import Core, STOP_HALT
@@ -78,7 +59,7 @@ def record_kernel(name, seed=1, platform=None, max_instructions=5_000_000):
     recorder = DependencyRecorder(platform)
     kernel = make_kernel(name, seed=seed)
     core = Core(kernel.program, MemorySystem(platform.mem),
-                params=platform.core, recorder=recorder)
+                params=platform.core, probe=recorder)
     if kernel.setup is not None:
         kernel.setup(core)
     outcome = core.run(max_instructions=max_instructions)
@@ -87,9 +68,7 @@ def record_kernel(name, seed=1, platform=None, max_instructions=5_000_000):
             f"kernel {name!r} did not halt within {max_instructions} "
             f"instructions (reason: {outcome.reason})"
         )
-    recorder.tile_done(0, core.cycles, outcome.reason,
-                       core._recorder_counters())
-    recorder.finish("complete")
+    recorder.run_end([core], {core: outcome.reason}, "complete")
     graph = DependencyGraph.from_recorder(recorder)
     return RecordedRun(name, graph, core.cycles, platform=platform)
 
@@ -97,12 +76,11 @@ def record_kernel(name, seed=1, platform=None, max_instructions=5_000_000):
 def record_app(name, seed=1, items=2, platform=None):
     """Record an application's 16-tile Stitch co-simulation.
 
-    Deadlocks and exhausted round budgets come back as a *partial*
-    :class:`RecordedRun` (``error`` set, frontier in the analysis)
-    instead of propagating.
+    Deadlocks, watchdog timeouts and exhausted round budgets come back
+    as a *partial* :class:`RecordedRun` (``error`` set, frontier in the
+    analysis) instead of propagating.
     """
     from repro.sim.baselines import ARCH_STITCH, AppEvaluator
-    from repro.sim.system import DeadlockError, RoundBudgetError
     from repro.workloads.apps import APP_FACTORIES
 
     factory = APP_FACTORIES.get(name.upper())
@@ -111,25 +89,19 @@ def record_app(name, seed=1, items=2, platform=None):
             f"unknown app {name!r}; choose from {sorted(APP_FACTORIES)}"
         )
     evaluator = AppEvaluator(factory(seed=seed), platform=platform)
-    telemetry, recorder = recording_telemetry(
+    recorder = DependencyRecorder(
         platform if platform is not None else _default_platform()
     )
     system, _plan = evaluator.build_system(
-        ARCH_STITCH, items=items, telemetry=telemetry
+        ARCH_STITCH, items=items, telemetry=recorder
     )
-    return _run_recorded(name.upper(), system, recorder,
-                         platform=platform, errors=(DeadlockError,
-                                                    RoundBudgetError))
+    return _run_recorded(name.upper(), system, recorder, platform=platform)
 
 
 def record_system(target, system, recorder, **run_kwargs):
     """Record an already-loaded :class:`StitchSystem` (test harness)."""
-    from repro.sim.system import DeadlockError, RoundBudgetError
-
     return _run_recorded(target, system, recorder,
-                         platform=system.platform,
-                         errors=(DeadlockError, RoundBudgetError),
-                         **run_kwargs)
+                         platform=system.platform, **run_kwargs)
 
 
 def _default_platform():
@@ -138,11 +110,12 @@ def _default_platform():
     return DEFAULT_PLATFORM
 
 
-def _run_recorded(target, system, recorder, platform=None, errors=(),
-                  **run_kwargs):
+def _run_recorded(target, system, recorder, platform=None, **run_kwargs):
+    from repro.sim.system import SnapshotError
+
     try:
         results = system.run(**run_kwargs)
-    except errors as exc:
+    except SnapshotError as exc:
         # system.run already finalized the partial graph on the recorder.
         graph = DependencyGraph.from_recorder(recorder)
         return RecordedRun(target, graph, graph.makespan, error=exc,

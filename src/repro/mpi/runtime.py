@@ -9,11 +9,10 @@ every word carries the cycle at which it arrived at the receiver.  A
 where draining charges one cycle per flit of NIC-to-memory transfer.
 """
 
-from repro.chaos.injector import NULL_INJECTOR
 from repro.cpu.core import CommPort
 from repro.noc.network import Network
 from repro.noc.packet import WORDS_PER_FLIT
-from repro.telemetry import NULL_TELEMETRY
+from repro.probe import NULL_PROBE
 
 
 class Channel:
@@ -61,19 +60,16 @@ class TileComm(CommPort):
 
 
 class MessagePassing:
-    """The shared fabric: channels + the NoC timing model."""
+    """The shared fabric: channels + the NoC timing model.
 
-    def __init__(self, network=None, num_tiles=16, telemetry=None,
-                 injector=None):
+    ``probe`` observes every message and may perturb its words.
+    """
+
+    def __init__(self, network=None, num_tiles=16, probe=None):
         self.network = network if network is not None else Network()
         self.num_tiles = num_tiles
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._occupancy_hist = telemetry.stats.histogram(
-            "fabric.channel_occupancy"
-        )
-        self._timeseries = telemetry.timeseries
-        self._recorder = telemetry.recorder
+        self.probe = probe if probe is not None else NULL_PROBE
+        self._occupancy_hist = self.probe.histogram("fabric.channel_occupancy")
         self._channels = {}
         self.messages = 0
         self.words = 0
@@ -101,19 +97,21 @@ class MessagePassing:
         """Inject ``values`` from ``src`` to ``dst``; returns sender finish."""
         if not 0 <= dst < self.num_tiles:
             raise ValueError(f"destination tile out of range: {dst}")
+        probe = self.probe
+        observed = probe.enabled
         dropped = False
-        if self.injector.armed:
+        if observed:
             # Channel corruption / dropped flits: the NoC still burns
             # the cycles either way, but dropped payloads never land.
-            values, dropped = self.injector.outbound(src, dst, values, now)
+            values, dropped = probe.outbound(src, dst, values, now)
         arrival, injection_done = self.network.send(src, dst, len(values), now)
+        if observed:
+            probe.fabric_send(src, dst, len(values), now, arrival,
+                              injection_done, dropped)
         if dropped:
             return injection_done
         chan = self.channel(src, dst)
         chan.push(values, arrival)
-        if self._recorder.enabled:
-            self._recorder.fabric_send(src, dst, len(values), now, arrival,
-                                       injection_done)
         self.messages += 1
         self.words += len(values)
         self.words_in_flight += len(values)
@@ -124,8 +122,8 @@ class MessagePassing:
         if occupancy > self.channel_high_water.get(key, 0):
             self.channel_high_water[key] = occupancy
         self._occupancy_hist.observe(occupancy)
-        if self._timeseries.enabled:
-            self._timeseries.channel_occupancy(src, dst, now, occupancy)
+        if observed:
+            probe.channel_occupancy(src, dst, now, occupancy)
         return injection_done
 
     def try_recv(self, src, dst, count, now):
@@ -138,12 +136,11 @@ class MessagePassing:
         self.words_in_flight -= count
         drain = (count + WORDS_PER_FLIT - 1) // WORDS_PER_FLIT
         finish = max(now, ready) + drain
-        if self.injector.armed:
+        probe = self.probe
+        if probe.enabled:
             # Checksum side-band verification + bounded retry-backoff.
-            values, finish = self.injector.inbound(src, dst, values, finish)
-        if self._recorder.enabled:
-            self._recorder.fabric_recv(src, dst, count, now, ready, finish,
-                                       drain)
+            values, finish = probe.inbound(src, dst, values, finish)
+            probe.fabric_recv(src, dst, count, now, ready, finish, drain)
         return values, finish
 
     def earliest_ready(self, dst):

@@ -15,11 +15,10 @@ The stage/link/flit numbers come from a
 :class:`repro.platform.NoCParams` (default: the stitch preset).
 """
 
-from repro.chaos.injector import NULL_INJECTOR
 from repro.noc.packet import packetize
 from repro.noc.topology import Mesh
 from repro.platform import DEFAULT_PLATFORM
-from repro.telemetry import NULL_TELEMETRY
+from repro.probe import NULL_PROBE
 
 # Derived compatibility aliases — the numbers themselves live in
 # repro.platform's presets (single source of truth).
@@ -51,21 +50,17 @@ class Network:
     ``send(src, dst, nwords, time)`` returns ``(arrival, injection_done)``:
     when the last flit reaches ``dst`` and when the source NIC finishes
     injecting (the core is free again after ``injection_done``).
+    ``probe`` observes every link crossing and may delay arrivals.
     """
 
-    def __init__(self, mesh=None, contention=True, telemetry=None,
-                 params=None, injector=None):
+    def __init__(self, mesh=None, contention=True, probe=None, params=None):
         self.params = params if params is not None else DEFAULT_PLATFORM.noc
-        self.injector = injector if injector is not None else NULL_INJECTOR
         self.router_stages = self.params.router_stages
         self.link_cycles = self.params.link_cycles
         self.mesh = mesh if mesh is not None else Mesh.from_params(self.params)
         self.contention = contention
-        telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.tracer = telemetry.tracer
-        self.timeseries = telemetry.timeseries
-        self.recorder = telemetry.recorder
-        self._wait_hist = telemetry.stats.histogram("noc.link_wait")
+        self.probe = probe if probe is not None else NULL_PROBE
+        self._wait_hist = self.probe.histogram("noc.link_wait")
         self._links = {}
         self.packets_sent = 0
         self.flits_sent = 0
@@ -100,8 +95,9 @@ class Network:
         # Fault injection: a flaky link holds the message ``extra``
         # cycles past the modelled arrival (the NIC itself is unharmed,
         # so injection_done is unaffected).
-        extra = (self.injector.link_delay(src, dst, time)
-                 if self.injector.armed else 0)
+        probe = self.probe
+        observed = probe.enabled
+        extra = probe.link_delay(src, dst, time) if observed else 0
         if src == dst:
             # Local loopback through the NIC: just serialization.
             packets = packetize(src, dst, nwords, params=self.params)
@@ -134,15 +130,9 @@ class Network:
                         )
                         self.contention_delay += waited
                     self._wait_hist.observe(waited)
-                    if self.recorder.enabled:
-                        self.recorder.noc_crossing(link, crossed, flits,
-                                                   waited)
-                    if self.tracer.enabled:
-                        self.tracer.link_reserved(
-                            link, src, dst, crossed, flits, waited
-                        )
-                    if self.timeseries.enabled:
-                        self.timeseries.link_flits(link, crossed, flits)
+                    if observed:
+                        probe.link_reserved(link, src, dst, crossed, flits,
+                                            waited)
                     head_time = crossed + self.link_cycles
                     if link_index == 0:
                         injection_done = max(injection_done, crossed + flits)
@@ -153,18 +143,10 @@ class Network:
                 injection_done = max(injection_done, cursor + flits)
                 for link_index, link in enumerate(route):
                     self.link_busy[link] = self.link_busy.get(link, 0) + flits
-                    if (self.tracer.enabled or self.timeseries.enabled
-                            or self.recorder.enabled):
+                    if observed:
                         crossed = (cursor + self.router_stages
                                    + per_hop * link_index)
-                        if self.recorder.enabled:
-                            self.recorder.noc_crossing(link, crossed, flits, 0)
-                        if self.tracer.enabled:
-                            self.tracer.link_reserved(
-                                link, src, dst, crossed, flits, 0
-                            )
-                        if self.timeseries.enabled:
-                            self.timeseries.link_flits(link, crossed, flits)
+                        probe.link_reserved(link, src, dst, crossed, flits, 0)
             arrival = max(arrival, packet_arrival)
             cursor += flits  # next packet streams behind this one
         return arrival + extra, injection_done

@@ -9,6 +9,7 @@ from repro.profile.profiler import (
     BlockProfile,
     CycleProfile,
     LoopProfile,
+    PCProfiler,
     profile_app_cycles,
     profile_kernel_cycles,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "BlockProfile",
     "CycleProfile",
     "LoopProfile",
+    "PCProfiler",
     "profile_app_cycles",
     "profile_kernel_cycles",
     "render_annotated",

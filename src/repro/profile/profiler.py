@@ -1,20 +1,43 @@
 """PC-attribution cycle profiles folded onto the control-flow graph.
 
-:class:`Core` (with ``profile_cycles=True``) keeps a retired-cycle
-histogram keyed by PC: every simulated cycle lands on exactly one
-program counter, so the histogram's cycle total equals ``core.cycles``
-*exactly* — the profiler-side twin of the attribution invariant the
-V500 rules check.  :class:`CycleProfile` folds that histogram onto the
-program's basic blocks and (via the abstract interpreter's CFG) its
-natural loops, giving per-block and per-loop self/total cycle counts,
-flamegraph folded stacks, and annotated disassembly.
+:class:`PCProfiler`, a :class:`~repro.probe.Probe`, keeps a
+retired-cycle histogram per core keyed by PC: every simulated cycle
+lands on exactly one program counter, so the histogram's cycle total
+equals ``core.cycles`` *exactly* — the profiler-side twin of the
+attribution invariant the V500 rules check.  :class:`CycleProfile`
+folds that histogram onto the program's basic blocks and (via the
+abstract interpreter's CFG) its natural loops, giving per-block and
+per-loop self/total cycle counts, flamegraph folded stacks, and
+annotated disassembly.
 
 ``profile_kernel_cycles`` / ``profile_app_cycles`` are the harness
 entries ``repro profile`` uses: one bare tile for a kernel, the 16-tile
 co-simulation for an application.
 """
 
+from repro.probe import Probe, combine, find
 from repro.verify.absint.cfg import CFG, targets_valid
+
+
+class PCProfiler(Probe):
+    """Retired cycles and retirements per PC, per observed core."""
+
+    observes_core = True
+
+    def __init__(self):
+        self.histograms = {}    # core -> {pc: [cycles, retired]}
+
+    def attach(self, core):
+        self.histograms[core] = {}
+        return super().attach(core)
+
+    def retire(self, core, pc, cycles):
+        histogram = self.histograms[core]
+        entry = histogram.get(pc)
+        if entry is None:
+            entry = histogram[pc] = [0, 0]
+        entry[0] += cycles
+        entry[1] += 1
 
 
 class BlockProfile:
@@ -72,10 +95,12 @@ class CycleProfile:
 
     @classmethod
     def from_core(cls, core):
-        """Build the profile of a finished ``profile_cycles=True`` core."""
-        if core.pc_profile is None:
-            raise RuntimeError("core was created with profile_cycles=False")
-        return cls(core.program, core.pc_profile, core.cycles,
+        """Build the profile of a finished core its probe's
+        :class:`PCProfiler` observed."""
+        profiler = find(core.probe, PCProfiler)
+        if profiler is None:
+            raise RuntimeError("core was built without a PCProfiler probe")
+        return cls(core.program, profiler.histograms[core], core.cycles,
                    tile=core.core_id)
 
     # -- folding -----------------------------------------------------------
@@ -227,7 +252,7 @@ def profile_kernel_cycles(name, seed=1, max_instructions=5_000_000):
     from repro.workloads import make_kernel
 
     kernel = make_kernel(name, seed=seed)
-    core = Core(kernel.program, MemorySystem.stitch(), profile_cycles=True)
+    core = Core(kernel.program, MemorySystem.stitch(), probe=PCProfiler())
     if kernel.setup is not None:
         kernel.setup(core)
     outcome = core.run(max_instructions=max_instructions)
@@ -257,7 +282,7 @@ def profile_app_cycles(app_name, seed=1, items=2, telemetry=None):
         )
     evaluator = AppEvaluator(factory(seed=seed))
     system, _plan = evaluator.build_system(
-        ARCH_STITCH, items=items, telemetry=telemetry, profile_cycles=True
+        ARCH_STITCH, items=items, telemetry=combine(telemetry, PCProfiler())
     )
     results = system.run()
     profiles = {

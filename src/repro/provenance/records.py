@@ -25,7 +25,7 @@ call, so the hot compile path carries no ``if report:`` forests.
 import time
 from contextlib import contextmanager
 
-from repro.telemetry import NULL_STATS, NULL_TRACER, Stats, Tracer
+from repro.telemetry import NULL_STATS, Stats, Tracer
 from repro.telemetry.trace import COMPILER
 
 SELECTED = "selected"
@@ -401,7 +401,6 @@ class NullCompileReport:
     kernel_name = None
     baseline_cycles = None
     stats = NULL_STATS
-    tracer = NULL_TRACER
     phases = ()
     versions = {}
 

@@ -15,6 +15,7 @@ from repro.sim.system import (
     RecvTimeoutError,
     RoundBudgetError,
     RunResults,
+    SnapshotError,
     StitchSystem,
     TileResult,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "DeadlockError",
     "RecvTimeoutError",
     "RoundBudgetError",
+    "SnapshotError",
     "wrap_streaming",
     "PipelineModel",
     "StageTiming",

@@ -171,8 +171,7 @@ class AppEvaluator:
     # -- co-simulation ------------------------------------------------------------
 
     def build_system(self, architecture, items=2, contention=False,
-                     telemetry=None, profile_cycles=False, engine="auto",
-                     injector=None, plan=None):
+                     telemetry=None, engine="auto", plan=None):
         """Materialize the 16-tile co-simulation for an architecture.
 
         All architectures run on the Stitch tile memory (4 KB D$ +
@@ -185,23 +184,19 @@ class AppEvaluator:
         run-until-blocked co-simulator does not guarantee — host
         scheduling order would leak into simulated time.
 
-        ``telemetry`` (``True`` or a :class:`repro.telemetry.Telemetry`
-        bundle) enables stats/tracing across every tile and the NoC;
-        ``profile_cycles`` turns on every core's retired-cycle PC
-        histogram (the ``repro profile`` substrate).
-
-        ``injector`` (an :class:`repro.chaos.Injector` or an
-        :class:`~repro.chaos.InjectionPlan`) arms fault injection on
-        every tile; ``plan`` overrides the stitch plan — graceful
-        degradation rebuilds the system from a remapped plan that
-        routes around a failed fused unit.
+        ``telemetry`` (``True``, a :class:`repro.telemetry.Telemetry`
+        bundle, or any :class:`repro.probe.Probe` — the PC profiler of
+        ``repro profile``, a chaos :class:`~repro.chaos.Injector`)
+        observes every tile, the NoC and the fabric.  ``plan``
+        overrides the stitch plan — graceful degradation rebuilds the
+        system from a remapped plan that routes around a failed fused
+        unit.
         """
         plan = plan if plan is not None else self.plan(architecture)
         compiled = self.compiled_programs()
         system = StitchSystem(self.placement.mesh, contention=contention,
                               telemetry=telemetry, platform=self.platform,
-                              profile_cycles=profile_cycles, engine=engine,
-                              injector=injector)
+                              engine=engine)
         for stage in self.app.stages:
             assignment = plan.assignments[stage.id]
             option = assignment.option

@@ -11,14 +11,15 @@ telemetry snapshot naming the blocked tiles and their pending channels.
 Every :meth:`StitchSystem.run` returns a :class:`RunResults` — a plain
 list of :class:`TileResult` with a :class:`SystemStats` roll-up on its
 ``stats`` attribute (cycle attribution per tile, per-run cache hit
-rates, NoC/fabric/patch counters).  Pass ``telemetry=True`` (or a
-:class:`repro.telemetry.Telemetry` bundle) to also record structured
-trace events across the whole stack.
+rates, NoC/fabric/patch counters).  Pass ``telemetry=True`` (a
+:class:`repro.telemetry.Telemetry` bundle) or any other
+:class:`repro.probe.Probe` to also observe the run across the whole
+stack; the probe's ``run_end`` hook closes every run, also one that
+ends in a deadlock, a watchdog timeout or an exhausted round budget.
 """
 
 import dataclasses
 
-from repro.chaos.injector import ensure_injector
 from repro.core.executor import PatchExecutor
 from repro.cpu.core import Core, STOP_FROZEN, STOP_HALT, STOP_RECV
 from repro.isa.instructions import Op
@@ -27,10 +28,20 @@ from repro.mpi.runtime import MessagePassing
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
 from repro.platform import DEFAULT_PLATFORM
+from repro.power.chip import EnergyModel
 from repro.telemetry import SystemStats, ensure_telemetry
 
 
-class DeadlockError(RuntimeError):
+class SnapshotError(RuntimeError):
+    """A co-simulation that cannot finish, with the scheduler's
+    ``snapshot`` of where it stopped."""
+
+    def __init__(self, message, snapshot=None):
+        super().__init__(message)
+        self.snapshot = snapshot if snapshot is not None else {}
+
+
+class DeadlockError(SnapshotError):
     """All live tiles are blocked on receives that can never complete.
 
     ``snapshot`` maps each blocked tile to its pending receive — the
@@ -38,12 +49,8 @@ class DeadlockError(RuntimeError):
     queued toward it per source channel.
     """
 
-    def __init__(self, message, snapshot=None):
-        super().__init__(message)
-        self.snapshot = snapshot if snapshot is not None else {}
 
-
-class RecvTimeoutError(RuntimeError):
+class RecvTimeoutError(SnapshotError):
     """A tile's blocked receive outlived the watchdog deadline.
 
     Unlike :class:`DeadlockError` the system may still be making
@@ -52,16 +59,12 @@ class RecvTimeoutError(RuntimeError):
     ``recv_timeout`` cycles past the point where the receive blocked.
     ``snapshot`` uses the same per-tile vocabulary as the deadlock
     snapshot (``waiting_on``/``words_needed``/``pending``/``cycles``)
-    plus ``blocked_since``, and carries the top-level ``deadline`` and
-    ``horizon`` that tripped it.
+    plus ``blocked_since`` under ``tiles``, and carries the top-level
+    ``deadline`` and ``horizon`` that tripped it.
     """
 
-    def __init__(self, message, snapshot=None):
-        super().__init__(message)
-        self.snapshot = snapshot if snapshot is not None else {}
 
-
-class RoundBudgetError(RuntimeError):
+class RoundBudgetError(SnapshotError):
     """The co-simulation exceeded ``max_rounds`` without finishing.
 
     Unlike a deadlock the system was still making progress — tiles kept
@@ -71,10 +74,6 @@ class RoundBudgetError(RuntimeError):
     scheduler's state at the point of surrender: which tiles were still
     runnable, and for each blocked tile the words queued toward it.
     """
-
-    def __init__(self, message, snapshot=None):
-        super().__init__(message)
-        self.snapshot = snapshot if snapshot is not None else {}
 
 
 class TileResult:
@@ -125,29 +124,25 @@ class StitchSystem:
     as extra D$ (the paper's baseline many-core memory system).
     ``engine`` selects every core's execution loop (see
     :class:`repro.cpu.Core`): the default ``auto`` runs the pre-decoded
-    fast loop unless telemetry/profiling is enabled.
+    fast loop unless the ``telemetry`` probe observes the cores.
+    ``recv_timeout`` arms the receive watchdog (default: the probe's
+    ``recv_deadline``, which a chaos injector takes from its plan).
     """
 
     def __init__(self, mesh=None, contention=True, baseline_memory=False,
-                 telemetry=None, platform=None, profile_cycles=False,
-                 engine="auto", injector=None, recv_timeout=None):
+                 telemetry=None, platform=None, engine="auto",
+                 recv_timeout=None):
         self.platform = platform if platform is not None else DEFAULT_PLATFORM
         self.engine = engine
         self.mesh = mesh if mesh is not None else Mesh.from_params(self.platform.noc)
         self.telemetry = ensure_telemetry(telemetry)
-        self.profile_cycles = profile_cycles
-        self.injector = ensure_injector(injector, telemetry=self.telemetry)
-        if recv_timeout is None:
-            recovery = getattr(self.injector, "recovery", None)
-            recv_timeout = recovery.recv_timeout if recovery is not None else 0
-        self.recv_timeout = recv_timeout
+        self.recv_timeout = (recv_timeout if recv_timeout is not None
+                             else self.telemetry.recv_deadline)
         self.fabric = MessagePassing(
             Network(self.mesh, contention=contention,
-                    telemetry=self.telemetry, params=self.platform.noc,
-                    injector=self.injector),
+                    probe=self.telemetry, params=self.platform.noc),
             num_tiles=self.mesh.num_tiles,
-            telemetry=self.telemetry,
-            injector=self.injector,
+            probe=self.telemetry,
         )
         mem_params = self.platform.mem
         if baseline_memory:
@@ -178,13 +173,8 @@ class StitchSystem:
         core = Core(
             program, memory, patch=patch,
             comm=self.fabric.port(tile), core_id=tile,
-            tracer=self.telemetry.tracer,
-            timeseries=self.telemetry.timeseries,
-            recorder=self.telemetry.recorder,
-            profile_cycles=self.profile_cycles,
-            params=self.platform.core,
-            engine=self.engine,
-            injector=self.injector,
+            params=self.platform.core, engine=self.engine,
+            probe=self.telemetry,
         )
         if setup is not None:
             setup(core)
@@ -200,15 +190,13 @@ class StitchSystem:
         blocked_at = {}  # core -> its cycle count when it blocked
         pending = list(live)
         rounds = 0
-        tracer = self.telemetry.tracer
-        recorder = self.telemetry.recorder
+        probe = self.telemetry
         timeout = self.recv_timeout
         while pending or blocked:
             rounds += 1
             if rounds > max_rounds:
                 error = self._round_budget(max_rounds, pending, blocked)
-                self._finalize_recorder(recorder, live, reasons, "budget",
-                                        error.snapshot)
+                self._end(live, reasons, "budget", error.snapshot)
                 raise error
             progressed = False
             next_pending = []
@@ -235,8 +223,7 @@ class StitchSystem:
                     del blocked_at[core]
                     pending.append(core)
                     progressed = True
-                    if tracer.enabled:
-                        tracer.comm_unblocked(core.core_id, core.cycles)
+                    probe.comm_unblocked(core.core_id, core.cycles)
             # Receive watchdog: a blocked tile whose wait outlives the
             # deadline fails loud even while the rest of the system is
             # still making progress.
@@ -247,28 +234,17 @@ class StitchSystem:
                 if expired:
                     error = self._recv_timeout(expired, blocked_at, horizon,
                                                timeout)
-                    self._finalize_recorder(recorder, live, reasons,
-                                            "timeout", error.snapshot)
+                    self._end(live, reasons, "timeout", error.snapshot)
                     raise error
             if not progressed and not pending:
                 if blocked:
                     error = self._deadlock(blocked)
-                    self._finalize_recorder(recorder, live, reasons,
-                                            "deadlock", error.snapshot)
+                    self._end(live, reasons, "deadlock", error.snapshot)
                     raise error
                 break
-        self._finalize_recorder(recorder, live, reasons, "complete")
-        timeseries = self.telemetry.timeseries
-        if timeseries.enabled:
-            from repro.power.chip import EnergyModel
-
-            for core in live:
-                core.flush_timeseries()
-            timeseries.add_energy(
-                EnergyModel(self.platform.power, num_tiles=self.mesh.num_tiles)
-            )
         stats = self._roll_up(live, reasons, cache_baseline)
-        attach = self.telemetry.enabled
+        self._end(live, reasons, "complete", rollup=stats)
+        attach = probe.enabled
         return RunResults(
             [
                 TileResult(
@@ -280,16 +256,17 @@ class StitchSystem:
             stats,
         )
 
-    def _finalize_recorder(self, recorder, live, reasons, outcome,
-                           snapshot=None):
-        """Close every tile's causal timeline — also for partial runs,
-        whose blocked receives become the analyzable frontier."""
-        if not recorder.enabled:
+    def _end(self, live, reasons, outcome, snapshot=None, rollup=None):
+        """The probe's ``run_end`` — on every exit, so partial runs keep
+        their last samples and an analyzable frontier too."""
+        if not self.telemetry.enabled:
             return
-        for core in live:
-            recorder.tile_done(core.core_id, core.cycles, reasons[core],
-                               core._recorder_counters())
-        recorder.finish(outcome, snapshot=snapshot)
+        self.telemetry.run_end(
+            live, reasons, outcome, snapshot=snapshot,
+            energy=EnergyModel(self.platform.power,
+                               num_tiles=self.mesh.num_tiles),
+            rollup=rollup,
+        )
 
     def makespan(self, results=None):
         results = results if results is not None else self.run()
@@ -345,13 +322,10 @@ class StitchSystem:
             caches["dcache"]["hits"] += memory.dcache.hits - dh
             caches["dcache"]["misses"] += memory.dcache.misses - dm
             caches["dcache"]["writebacks"] += memory.dcache.writebacks - dw
-        stats = SystemStats(
+        return SystemStats(
             tiles, caches, self.fabric.network.stats(), self.fabric.stats(),
             patch,
         )
-        if self.telemetry.stats.enabled:
-            stats.populate(self.telemetry.stats)
-        return stats
 
     def _round_budget(self, max_rounds, pending, blocked):
         """Build the RoundBudgetError with its scheduler snapshot."""
@@ -391,7 +365,6 @@ class StitchSystem:
 
     def _recv_timeout(self, expired, blocked_at, horizon, timeout):
         """Build the RecvTimeoutError with its watchdog snapshot."""
-        tracer = self.telemetry.tracer
         snapshot = {"deadline": timeout, "horizon": horizon, "tiles": {}}
         details = []
         for core in sorted(expired, key=lambda c: c.core_id):
@@ -405,15 +378,8 @@ class StitchSystem:
                 f"{entry['words_needed']} word(s) from tile "
                 f"{entry['waiting_on']}"
             )
-            if tracer.enabled:
-                tracer.recv_timeout(tile, entry["waiting_on"], waited,
-                                    core.cycles)
-            if self.injector.armed:
-                self.injector.log_detect(
-                    "recv", tile, core.cycles,
-                    waiting_on=entry["waiting_on"], deadline=timeout,
-                    horizon=horizon,
-                )
+            self.telemetry.recv_timeout(tile, entry["waiting_on"], waited,
+                                        core.cycles, timeout, horizon)
         tiles = sorted(snapshot["tiles"])
         message = (
             f"receive watchdog expired ({timeout}-cycle deadline) on "
@@ -423,7 +389,6 @@ class StitchSystem:
 
     def _deadlock(self, blocked):
         """Build the DeadlockError with its telemetry snapshot."""
-        tracer = self.telemetry.tracer
         snapshot = {}
         details = []
         for core in sorted(blocked, key=lambda c: c.core_id):
@@ -437,11 +402,7 @@ class StitchSystem:
                 f"tile {tile} needs {count} word(s) from tile {peer} "
                 f"(channel holds {queued})"
             )
-            if tracer.enabled:
-                tracer.deadlock(tile, peer, queued, core.cycles)
-            if self.injector.armed:
-                self.injector.log_detect("deadlock", tile, core.cycles,
-                                         waiting_on=peer)
+            self.telemetry.deadlock(tile, peer, queued, core.cycles)
         tiles = sorted(snapshot)
         message = (
             f"tiles {tiles} blocked on receives with no data in flight: "

@@ -112,8 +112,7 @@ def _run_kernel(config, workload):
     kernel = make_kernel(workload["name"], seed=workload.get("seed", 1))
     memory = MemorySystem(config.mem)
     core = Core(kernel.program, memory, params=config.core,
-                recorder=recorder,
-                engine=workload.get("engine", "auto"))
+                engine=workload.get("engine", "auto"), probe=recorder)
     kernel.setup(core)
     outcome = core.run(
         max_instructions=workload.get("max_instructions", 20_000_000)
@@ -130,9 +129,7 @@ def _run_kernel(config, workload):
         "result_checksum": _checksum(kernel.result(core)),
     }
     if recorder is not None:
-        recorder.tile_done(0, core.cycles, outcome.reason,
-                           core._recorder_counters())
-        recorder.finish("complete")
+        recorder.run_end([core], {core: outcome.reason}, "complete")
         metrics["critpath"] = _critpath_metrics(recorder, core.cycles)
     stats = _kernel_stats(core, memory) if workload.get("telemetry") else None
     return metrics, stats
@@ -194,23 +191,22 @@ def ring_expected(num_tiles, token=1, laps=1):
 
 
 def _run_ring(config, workload):
+    from repro.probe import combine
     from repro.sim.system import StitchSystem
 
     token = workload.get("token", 1)
     laps = workload.get("laps", 1)
-    telemetry = None
+    stats = None
     recorder = None
-    if workload.get("telemetry") or workload.get("critpath"):
-        from repro.telemetry import NULL_STATS, NULL_TRACER, Stats, Telemetry
+    if workload.get("telemetry"):
+        from repro.telemetry import Stats
 
-        if workload.get("critpath"):
-            from repro.critpath import DependencyRecorder
+        stats = Stats()
+    if workload.get("critpath"):
+        from repro.critpath import DependencyRecorder
 
-            recorder = DependencyRecorder(config)
-        stats = Stats() if workload.get("telemetry") else NULL_STATS
-        telemetry = Telemetry(stats=stats, tracer=NULL_TRACER,
-                              recorder=recorder)
-    system = StitchSystem(platform=config, telemetry=telemetry,
+        recorder = DependencyRecorder(config)
+    system = StitchSystem(platform=config, telemetry=combine(stats, recorder),
                           engine=workload.get("engine", "auto"))
     num_tiles = system.mesh.num_tiles
     for tile, program in ring_programs(num_tiles, token, laps).items():
@@ -227,8 +223,6 @@ def _run_ring(config, workload):
         metrics["critpath"] = _critpath_metrics(
             recorder, metrics["makespan"]
         )
-    stats = (telemetry.stats if telemetry is not None
-             and telemetry.stats.enabled else None)
     return metrics, stats
 
 

@@ -1,6 +1,7 @@
 """Simulation telemetry: counters, histograms and event tracing.
 
-Three layers, all with near-zero-cost disabled paths:
+Every observer here is a :class:`~repro.probe.Probe`, and a run that
+observes nothing holds the shared :data:`~repro.probe.NULL_PROBE`:
 
 * :mod:`repro.telemetry.stats` — a hierarchical :class:`Stats` registry
   of named counters/histograms; hot loops hold the instrument object so
@@ -16,12 +17,14 @@ Three layers, all with near-zero-cost disabled paths:
 * :mod:`repro.telemetry.rollup` — the :class:`SystemStats` per-run
   aggregation attached to every :meth:`StitchSystem.run` result.
 
-A :class:`Telemetry` bundle carries one ``stats`` and one ``tracer``;
-``ensure_telemetry`` normalizes the values accepted by constructor
-``telemetry=`` parameters (``None``/``False`` → disabled singleton,
-``True`` → fresh enabled bundle, a bundle → itself).
+A :class:`Telemetry` bundle is one probe over a fresh ``stats`` and
+``tracer``, and optionally a time series; other observers join it with
+:func:`~repro.probe.combine`.  ``ensure_telemetry`` normalizes the
+values accepted by ``telemetry=`` parameters (``None``/``False`` → the
+null probe, ``True`` → a fresh bundle, a probe → itself).
 """
 
+from repro.probe import NULL_PROBE, Probes
 from repro.telemetry.stats import (
     Counter,
     Histogram,
@@ -31,61 +34,29 @@ from repro.telemetry.stats import (
     NullStats,
     Stats,
 )
-from repro.telemetry.trace import (
-    NULL_TRACER,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-)
-from repro.telemetry.timeseries import (
-    NULL_TIMESERIES,
-    NullTimeSeries,
-    TimeSeries,
-)
+from repro.telemetry.trace import TraceEvent, Tracer
+from repro.telemetry.timeseries import TimeSeries
 from repro.telemetry.rollup import ATTRIBUTION_BUCKETS, SystemStats
-from repro.critpath.recorder import (
-    DependencyRecorder,
-    NULL_RECORDER,
-    ensure_recorder,
-)
+from repro.critpath.recorder import DependencyRecorder
 
 
-class Telemetry:
-    """One stats registry, one tracer, one time-series collector and
-    one dependency recorder, threaded through a system.
+class Telemetry(Probes):
+    """One stats registry and one tracer observing a run as one probe.
 
-    ``timeseries`` and ``recorder`` stay their null singletons unless
-    passed explicitly — interval sampling and causal recording are
-    opt-in (``repro monitor`` / ``repro critpath``), unlike
-    stats/tracing which a bare ``Telemetry()`` enables."""
+    ``timeseries`` (a :class:`TimeSeries`) joins them when interval
+    sampling is asked for (``repro monitor``, ``--timeseries``)."""
 
-    __slots__ = ("stats", "tracer", "timeseries", "recorder")
-
-    def __init__(self, stats=None, tracer=None, timeseries=None,
-                 recorder=None):
-        self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.timeseries = (
-            timeseries if timeseries is not None else NULL_TIMESERIES
-        )
-        self.recorder = ensure_recorder(recorder)
-
-    @property
-    def enabled(self):
-        return (self.stats.enabled or self.tracer.enabled
-                or self.timeseries.enabled or self.recorder.enabled)
-
-    def __repr__(self):
-        return f"Telemetry(enabled={self.enabled}, {len(self.tracer)} events)"
-
-
-NULL_TELEMETRY = Telemetry(NULL_STATS, NULL_TRACER, NULL_TIMESERIES)
+    def __init__(self, timeseries=None):
+        self.stats = Stats()
+        self.tracer = Tracer()
+        self.timeseries = timeseries
+        super().__init__(self.stats, self.tracer, timeseries)
 
 
 def ensure_telemetry(value):
-    """Normalize a constructor's ``telemetry=`` argument to a bundle."""
+    """Normalize a ``telemetry=`` argument to a probe."""
     if value is None or value is False:
-        return NULL_TELEMETRY
+        return NULL_PROBE
     if value is True:
         return Telemetry()
     return value
@@ -98,20 +69,13 @@ __all__ = [
     "Histogram",
     "NULL_COUNTER",
     "NULL_HISTOGRAM",
-    "NULL_RECORDER",
     "NULL_STATS",
-    "NULL_TELEMETRY",
-    "NULL_TIMESERIES",
-    "NULL_TRACER",
     "NullStats",
-    "NullTimeSeries",
-    "NullTracer",
     "Stats",
     "SystemStats",
     "Telemetry",
     "TimeSeries",
     "TraceEvent",
     "Tracer",
-    "ensure_recorder",
     "ensure_telemetry",
 ]

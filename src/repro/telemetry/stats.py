@@ -6,7 +6,13 @@ instances.  Components hold the *instrument object* — not the registry —
 so the hot path is one attribute bump, and the disabled path is the
 module-level :data:`NULL_STATS` whose instruments are shared no-ops
 (no ``if telemetry:`` forests inside simulation loops).
+
+A :class:`Stats` registry is also a :class:`~repro.probe.Probe`: its
+``histogram`` hands the fabric its instruments, and it counts chaos
+events and mirrors a clean co-simulation's roll-up at ``run_end``.
 """
+
+from repro.probe import Probe
 
 
 class Counter:
@@ -114,7 +120,7 @@ NULL_COUNTER = _NullCounter()
 NULL_HISTOGRAM = _NullHistogram()
 
 
-class Stats:
+class Stats(Probe):
     """Registry of named counters/histograms, addressed by dotted path."""
 
     enabled = True
@@ -144,6 +150,15 @@ class Stats:
 
     def observe(self, name, value):
         self.histogram(name).observe(value)
+
+    def chaos_event(self, tile, kind, site, cycle, detail):
+        self.add(f"chaos.{kind}")
+        self.add(f"chaos.{kind}.{site}")
+
+    def run_end(self, cores, reasons, outcome, snapshot=None, energy=None,
+                rollup=None):
+        if rollup is not None:
+            rollup.populate(self)
 
     def reset(self):
         for counter in self._counters.values():

@@ -24,14 +24,16 @@ Sampling discipline (the part the verifier's V901 rule checks):
 The collector is ring-buffered: each series keeps at most ``capacity``
 intervals and evicts the oldest beyond that (counted in
 ``dropped_intervals`` — reconciliation checks are skipped once samples
-have been dropped).  The disabled path is the shared
-:data:`NULL_TIMESERIES` null object, mirroring :data:`~repro.telemetry.
-stats.NULL_STATS`: hot loops hold the object and pay one ``enabled``
-test (or, in the core, one compare against an infinite next-boundary).
+have been dropped).  The collector is a :class:`~repro.probe.Probe`:
+each core it observes closes an interval at its ``boundary`` hook and
+the last one at ``run_end``; NoC links and fabric channels report
+through ``link_reserved`` and ``channel_occupancy``.
 """
 
 import csv
 import json
+
+from repro.probe import Probe
 
 DEFAULT_INTERVAL = 1024
 DEFAULT_CAPACITY = 65536
@@ -46,10 +48,27 @@ TILE_FIELDS = (
 )
 
 
-class TimeSeries:
+def core_counters(core):
+    """Current values of every core counter the sampler tracks."""
+    ih, im, dh, dm = core.memory.counter_snapshot()
+    return {
+        "cycles": core.cycles,
+        "instructions": core.instret,
+        "memory_stall": core.stall_memory,
+        "icache_stall": core.stall_icache,
+        "branch_bubble": core.stall_branch,
+        "comm_blocked": core.stall_comm,
+        "icache_hits": ih,
+        "icache_misses": im,
+        "dcache_hits": dh,
+        "dcache_misses": dm,
+    }
+
+
+class TimeSeries(Probe):
     """Ring-buffered fixed-interval samples of one simulation."""
 
-    enabled = True
+    observes_core = True
 
     def __init__(self, interval=DEFAULT_INTERVAL, capacity=DEFAULT_CAPACITY):
         if interval <= 0:
@@ -62,6 +81,53 @@ class TimeSeries:
         self.links = {}      # (src, dst) -> {interval index -> flits}
         self.channels = {}   # (src, dst) -> {interval index -> max occupancy}
         self.dropped_intervals = 0
+        self._cores = {}     # core -> [counters at last sample, next boundary]
+
+    # -- probe hooks ---------------------------------------------------------
+
+    def attach(self, core):
+        self._cores[core] = [core_counters(core), self.interval]
+        return self.interval
+
+    def boundary(self, core):
+        state = self._cores[core]
+        if core.cycles >= state[1]:
+            self._close(core, state)
+        return state[1]
+
+    def link_reserved(self, link, src, dst, start, flits, waited):
+        self.link_flits(link, start, flits)
+
+    def run_end(self, cores, reasons, outcome, snapshot=None, energy=None,
+                rollup=None):
+        for core in cores:
+            self._close(core, self._cores[core])
+        if energy is None:
+            from repro.power.chip import EnergyModel
+
+            energy = EnergyModel()
+        self.add_energy(energy)
+
+    def _close(self, core, state):
+        """Close ``core``'s current interval.
+
+        Folds every counter delta since the previous sample into the
+        interval containing the cycle at which the delta *began* (the
+        previous snapshot), so per-interval sums reconcile exactly with
+        the end-of-run totals no matter where the close lands, and
+        successive samples carry strictly increasing interval indices.
+        """
+        now = core_counters(core)
+        snap = state[0]
+        deltas = {
+            field: now[field] - snap[field]
+            for field in now
+            if now[field] != snap[field]
+        }
+        if deltas:
+            self.tile_sample(core.core_id, snap["cycles"], deltas)
+        state[0] = now
+        state[1] = (core.cycles // self.interval + 1) * self.interval
 
     # -- recording -----------------------------------------------------------
 
@@ -247,59 +313,3 @@ class TimeSeries:
             f"TimeSeries(interval={self.interval}, {len(self.tiles)} tiles, "
             f"{len(self)} samples)"
         )
-
-
-class NullTimeSeries:
-    """Disabled collector: records nothing, exports an empty payload."""
-
-    enabled = False
-    interval = None
-    capacity = 0
-    tiles = {}
-    links = {}
-    channels = {}
-    dropped_intervals = 0
-
-    def index_of(self, time):
-        return 0
-
-    def tile_sample(self, tile, time, deltas):
-        pass
-
-    def link_flits(self, link, time, flits):
-        pass
-
-    def channel_occupancy(self, src, dst, time, occupancy):
-        pass
-
-    def add_energy(self, model):
-        pass
-
-    def tile_series(self, tile):
-        return []
-
-    def tile_totals(self, tile):
-        return {}
-
-    def span(self):
-        return None
-
-    def to_dict(self):
-        return {
-            "interval": None, "dropped_intervals": 0, "tiles": {},
-            "noc": {"links": {}}, "fabric": {"channels": {}},
-        }
-
-    def to_csv(self):
-        return "kind,id,start,end,field,value\r\n"
-
-    def write(self, path):
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle)
-        return path
-
-    def __len__(self):
-        return 0
-
-
-NULL_TIMESERIES = NullTimeSeries()

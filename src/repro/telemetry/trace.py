@@ -13,13 +13,15 @@ microsecond fields verbatim (at the paper's 200 MHz, 1 cycle = 5 ns;
 the viewer's absolute unit is irrelevant — relative placement is what
 matters).
 
-Hot paths must not pay for tracing when it is off: components share the
-module-level :data:`NULL_TRACER` (``enabled = False``) and guard warm
-per-event calls with a single ``if tracer.enabled`` check.
+The tracer is a :class:`~repro.probe.Probe`: its typed domain events
+are the probe hooks of the same names, so a run that does not trace
+holds the null probe and never calls them.
 """
 
 import gzip
 import json
+
+from repro.probe import Probe
 
 SPAN = "span"
 INSTANT = "instant"
@@ -68,10 +70,10 @@ class TraceEvent:
         )
 
 
-class Tracer:
+class Tracer(Probe):
     """Ordered in-memory event log with domain-specific constructors."""
 
-    enabled = True
+    observes_core = True
 
     def __init__(self):
         self.events = []
@@ -134,24 +136,14 @@ class Tracer:
         self.instant((TILES, tile), f"DEADLOCK waiting<-{peer}", time,
                      category="comm", peer=peer, words=words_waiting)
 
-    def recv_timeout(self, tile, peer, waited, time):
+    def recv_timeout(self, tile, peer, waited, time, deadline, horizon):
         """The receive watchdog expired on one blocked tile."""
         self.instant((TILES, tile), f"RECV TIMEOUT waiting<-{peer}", time,
                      category="chaos", peer=peer, waited=waited)
 
-    def fault(self, tile, site, time, **detail):
-        """An injected fault fired at its trigger."""
-        self.instant((TILES, tile), f"FAULT {site}", time,
-                     category="chaos", site=site, **detail)
-
-    def fault_detected(self, tile, site, time, **detail):
-        """A detection policy noticed an injected fault."""
-        self.instant((TILES, tile), f"DETECT {site}", time,
-                     category="chaos", site=site, **detail)
-
-    def fault_recovered(self, tile, site, time, **detail):
-        """A recovery policy repaired an injected fault."""
-        self.instant((TILES, tile), f"RECOVER {site}", time,
+    def chaos_event(self, tile, kind, site, cycle, detail):
+        """An injected fault fired, or a policy detected or repaired one."""
+        self.instant((TILES, tile), f"{kind.upper()} {site}", cycle,
                      category="chaos", site=site, **detail)
 
     # -- export --------------------------------------------------------------
@@ -252,41 +244,3 @@ class Tracer:
 
     def __len__(self):
         return len(self.events)
-
-
-class NullTracer:
-    """Disabled tracer: records nothing, exports an empty trace."""
-
-    enabled = False
-    events = ()
-
-    def span(self, *args, **kwargs):
-        pass
-
-    def instant(self, *args, **kwargs):
-        pass
-
-    def counter(self, *args, **kwargs):
-        pass
-
-    tile_span = comm_send = comm_recv = span
-    comm_blocked = comm_unblocked = cix = cache_miss = instant
-    link_reserved = deadlock = recv_timeout = instant
-    fault = fault_detected = fault_recovered = instant
-
-    def tracks(self):
-        return []
-
-    def to_chrome(self):
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def write_chrome(self, path):
-        with _open_trace(path) as handle:
-            json.dump(self.to_chrome(), handle)
-        return path
-
-    def __len__(self):
-        return 0
-
-
-NULL_TRACER = NullTracer()

@@ -65,6 +65,20 @@ class TestPoints:
         with pytest.raises(ValueError, match="no requested site"):
             run_chaos_point(DEFAULT_PLATFORM, workload)
 
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_hook_free_engine_with_armed_plan_rejected(self, engine):
+        # A configuration error, not a detected_failed outcome.
+        workload = {"kind": "chaos", "target": "fir", "seed": 1,
+                    "faults": 1, "engine": engine}
+        with pytest.raises(ValueError, match="fires no probe hooks"):
+            run_chaos_point(DEFAULT_PLATFORM, workload)
+
+    def test_hook_free_engine_with_zero_fault_plan_runs(self):
+        workload = {"kind": "chaos", "target": "fir", "engine": "fast",
+                    "plan": InjectionPlan(name="clean").to_dict()}
+        metrics, _ = run_chaos_point(DEFAULT_PLATFORM, workload)
+        assert metrics["outcome"] == "masked"
+
 
 class TestCampaign:
     def run_small(self, **kwargs):

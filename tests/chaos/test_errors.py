@@ -39,7 +39,7 @@ class TestExecutionErrorUnderInjection:
     def test_corrupted_return_address_traps(self):
         injector = Injector(plan_of(Fault("reg", cycle=100, reg=15, bit=10)))
         core = Core(assemble(JAL_SOURCE), MemorySystem.stitch(),
-                    injector=injector)
+                    probe=injector)
         with pytest.raises(ExecutionError) as excinfo:
             core.run()
         assert injector.triggered() == 1
@@ -90,7 +90,7 @@ class TestRoundBudgetUnderInjection:
         # The fault never triggers (cycle beyond the budgeted horizon);
         # the scheduler's budget net must fire exactly as without chaos.
         injector = Injector(plan_of(Fault("reg", tile=0, cycle=10**9)))
-        system = StitchSystem(injector=injector)
+        system = StitchSystem(telemetry=injector)
         system.load(0, producer(1))
         system.load(1, consumer(0))
         with pytest.raises(RoundBudgetError) as excinfo:

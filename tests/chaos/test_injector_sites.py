@@ -5,24 +5,23 @@ import math
 import pytest
 
 from repro.chaos import (
-    NULL_INJECTOR,
     ChannelCorruptionError,
     CixStallError,
     Fault,
     InjectionPlan,
     Injector,
     RecoveryParams,
-    ensure_injector,
 )
 from repro.cpu import Core, PatchPort, STOP_FROZEN, STOP_HALT
 from repro.isa import assemble
 from repro.mem import MemorySystem, SPM_BASE
+from repro.probe import NULL_PROBE
 from repro.sim import DeadlockError, StitchSystem
 
 
 def make_core(source, injector=None, engine="auto"):
     return Core(assemble(source), MemorySystem.stitch(),
-                injector=injector, engine=engine)
+                engine=engine, probe=injector)
 
 
 COUNT_LOOP = """
@@ -44,32 +43,23 @@ def plan_of(*faults, recovery=None):
 
 
 class TestNullInjector:
-    def test_ensure_injector(self):
-        assert ensure_injector(None) is NULL_INJECTOR
-        assert ensure_injector(False) is NULL_INJECTOR
-        injector = Injector(plan_of())
-        assert ensure_injector(injector) is injector
-        wrapped = ensure_injector(plan_of(Fault("reg", cycle=10)))
-        assert wrapped.armed
-
     def test_disabled_hooks_are_identity(self):
         values = [1, 2, 3]
-        assert NULL_INJECTOR.outbound(0, 1, values, 5) == (values, False)
-        assert NULL_INJECTOR.inbound(0, 1, values, 9) == (values, 9)
-        assert NULL_INJECTOR.link_delay(0, 1, 5) == 0
-        assert not NULL_INJECTOR.armed
+        assert NULL_PROBE.outbound(0, 1, values, 5) == (values, False)
+        assert NULL_PROBE.inbound(0, 1, values, 9) == (values, 9)
+        assert NULL_PROBE.link_delay(0, 1, 5) == 0
+        assert not NULL_PROBE.observes_core
 
     def test_attach_core_pins_boundary_at_infinity(self):
         core = make_core("halt")
-        assert core._inj_next == math.inf
-        assert core._inj_cix is None
+        assert core._boundary == math.inf
 
 
 class TestEngineFallback:
     def test_armed_injector_forces_instrumented(self):
         armed = Injector(plan_of(Fault("reg", cycle=10)))
-        core = make_core(COUNT_LOOP, injector=armed, engine="fast")
-        assert core.selected_engine() == "instrumented"
+        with pytest.raises(ValueError, match="fast"):
+            make_core(COUNT_LOOP, injector=armed, engine="fast")
         auto = make_core(COUNT_LOOP, injector=armed, engine="auto")
         assert auto.selected_engine() == "instrumented"
 
@@ -117,7 +107,7 @@ class TestRegFlips:
 
     def test_same_engine_same_fault_same_result(self):
         outcomes = []
-        for engine in ("reference", "instrumented"):
+        for engine in ("instrumented", "instrumented"):
             injector = Injector(plan_of(Fault("reg", cycle=50, reg=2, bit=4)))
             core = make_core(COUNT_LOOP, injector=injector, engine=engine)
             core.run()
@@ -200,7 +190,7 @@ class TestCixStall:
         )
         injector = Injector(plan_of(Fault("cix", tile=0, cfg=3)))
         core = Core(program, MemorySystem.stitch(), patch=_StallPatch(),
-                    injector=injector)
+                    probe=injector)
         with pytest.raises(CixStallError) as exc:
             core.run()
         assert exc.value.tile == 0 and exc.value.cfg == 3
@@ -212,7 +202,7 @@ class TestCixStall:
         )
         injector = Injector(plan_of(Fault("cix", tile=0, cfg=9)))
         core = Core(program, MemorySystem.stitch(), patch=_StallPatch(),
-                    injector=injector)
+                    probe=injector)
         assert core.run().reason == STOP_HALT
         assert core.regs[4] == 11
 
@@ -244,7 +234,7 @@ def consumer(peer, words=2):
 
 class TestFabricFaults:
     def run_pair(self, injector):
-        system = StitchSystem(injector=injector)
+        system = StitchSystem(telemetry=injector)
         system.load(0, producer(1, 42))
         system.load(1, consumer(0))
         system.run()
@@ -264,7 +254,7 @@ class TestFabricFaults:
         injector = Injector(plan_of(
             Fault("link", src=0, dst=1, index=0, delay=0)
         ))
-        system = StitchSystem(injector=injector)
+        system = StitchSystem(telemetry=injector)
         system.load(0, producer(1, 42))
         system.load(1, consumer(0))
         with pytest.raises(DeadlockError):

@@ -107,7 +107,7 @@ class TestWatchdog:
             recovery=RecoveryParams(recv_timeout=500),
         )
         injector = Injector(plan)
-        system = StitchSystem(injector=injector)
+        system = StitchSystem(telemetry=injector)
         system.load(0, late_producer(1, 2000, value=7))
         system.load(1, consumer(0))
         system.load(2, silent_producer(5000))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler.profiler import BlockProfiler
 from repro.cpu import (
     ATTRIBUTION_BUCKETS,
     BlockedError,
@@ -17,7 +18,9 @@ from repro.mem import MemorySystem, SPM_BASE
 
 
 def make_core(source, profile=False, **regs):
-    core = Core(assemble(source), MemorySystem.stitch(), profile=profile)
+    program = assemble(source)
+    probe = BlockProfiler(program) if profile else None
+    core = Core(program, MemorySystem.stitch(), probe=probe)
     if regs:
         core.set_regs(**regs)
     return core
@@ -287,16 +290,10 @@ class TestProfiling:
         core = make_core(source, profile=True)
         core.run()
         blocks = core.program.basic_blocks()
-        assert core.block_counts[blocks[0].start] == 1
-        assert core.block_counts[blocks[1].start] == 5
-        counts = core.block_instruction_counts()
+        assert core.probe.block_counts[blocks[0].start] == 1
+        assert core.probe.block_counts[blocks[1].start] == 5
+        counts = core.probe.block_instruction_counts()
         assert counts[1] == 10
-
-    def test_profile_disabled_raises(self):
-        core = make_core("halt")
-        core.run()
-        with pytest.raises(RuntimeError):
-            core.block_instruction_counts()
 
     def test_instret_matches_dynamic_count(self):
         core = make_core(
@@ -304,7 +301,9 @@ class TestProfiling:
             profile=True,
         )
         core.run()
-        assert core.instret == sum(core.block_instruction_counts().values())
+        assert core.instret == sum(
+            core.probe.block_instruction_counts().values()
+        )
 
 
 class TestAttribution:
@@ -382,8 +381,8 @@ class TestAttribution:
         core = Core(
             assemble("movi r1, 1\nadd r1, r1, r1\nhalt"),
             MemorySystem.stitch(),
-            tracer=tracer,
             core_id=4,
+            probe=tracer,
         )
         core.run()
         spans = [e for e in tracer.events if e.kind == "span"]

@@ -9,6 +9,7 @@ state sync across resumable slices.
 
 import pytest
 
+from repro.compiler.profiler import BlockProfiler
 from repro.cpu import (
     ATTRIBUTION_BUCKETS,
     Core,
@@ -20,6 +21,7 @@ from repro.cpu import (
 from repro.isa import assemble
 from repro.isa.decoded import decode_program
 from repro.mem import MemorySystem, SPM_BASE
+from repro.profile import PCProfiler
 
 LOOP = (
     "movi r1, 0\nloop: addi r1, r1, 1\nslti r2, r1, 200\n"
@@ -44,8 +46,8 @@ class TestEngineSelection:
         assert make_core("halt").selected_engine() == "fast"
 
     @pytest.mark.parametrize("flags", [
-        {"profile": True},
-        {"profile_cycles": True},
+        {"probe": BlockProfiler(assemble("halt"))},
+        {"probe": PCProfiler()},
     ])
     def test_auto_resolves_to_instrumented_with_observability(self, flags):
         assert make_core("halt", **flags).selected_engine() == "instrumented"
@@ -53,7 +55,7 @@ class TestEngineSelection:
     def test_auto_resolves_to_instrumented_with_tracer(self):
         from repro.telemetry import Tracer
 
-        core = make_core("halt", tracer=Tracer())
+        core = make_core("halt", probe=Tracer())
         assert core.selected_engine() == "instrumented"
 
     def test_explicit_engine_wins(self):
@@ -61,14 +63,15 @@ class TestEngineSelection:
         assert core.selected_engine() == "reference"
 
     def test_fast_engine_refuses_observability(self):
-        core = make_core("halt", engine="fast", profile=True)
         with pytest.raises(ValueError, match="fast"):
-            core.run()
+            make_core("halt", engine="fast", probe=PCProfiler())
 
     def test_instrumented_supports_profile(self):
-        core = make_core(LOOP, engine="instrumented", profile=True)
+        program = assemble(LOOP)
+        core = Core(program, MemorySystem.stitch(), engine="instrumented",
+                    probe=BlockProfiler(program))
         core.run()
-        assert sum(core.block_counts) > 0
+        assert sum(core.probe.block_counts) > 0
 
 
 class TestExecutionError:

@@ -1,14 +1,19 @@
 """ASCII Gantt chart and textual summary rendering."""
 
-from repro.critpath import analyze, render_gantt, render_summary
+from repro.critpath import (
+    DependencyRecorder,
+    analyze,
+    render_gantt,
+    render_summary,
+)
 from repro.critpath.gantt import LEGEND
-from repro.critpath.runner import record_system, recording_telemetry
+from repro.critpath.runner import record_system
 from repro.sim import StitchSystem
 from repro.sweep.runner import ring_programs
 
 
 def recorded_ring(laps=2):
-    telemetry, recorder = recording_telemetry()
+    telemetry = recorder = DependencyRecorder()
     system = StitchSystem(telemetry=telemetry)
     for tile, program in ring_programs(4, laps=laps).items():
         system.load(tile, program)

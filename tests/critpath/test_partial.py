@@ -1,8 +1,17 @@
-"""Partial-graph finalization: deadlocks and exhausted round budgets."""
+"""Partial-graph finalization: deadlocks, watchdog timeouts, exhausted
+round budgets and dropped messages."""
 
-from repro.critpath.recorder import KIND_BLOCKED, KIND_CUT
-from repro.critpath.runner import record_system, recording_telemetry
+from repro.chaos import Fault, InjectionPlan, Injector
+from repro.critpath import DependencyRecorder
+from repro.critpath.recorder import (
+    KIND_BLOCKED,
+    KIND_CUT,
+    KIND_RECV,
+    KIND_SEND,
+)
+from repro.critpath.runner import record_system
 from repro.isa import assemble
+from repro.probe import combine
 from repro.sim import StitchSystem
 from repro.verify import Report, check_critpath
 
@@ -11,7 +20,7 @@ def deadlocked_run():
     """Two tiles, each receive-waiting on the other forever."""
     wait = ("movi r1, {peer}\nmovi r2, 0x100\nmovi r3, 1\n"
             "recv r1, r2, r3\nhalt")
-    telemetry, recorder = recording_telemetry()
+    telemetry = recorder = DependencyRecorder()
     system = StitchSystem(telemetry=telemetry)
     system.load(0, assemble(wait.format(peer=1)))
     system.load(1, assemble(wait.format(peer=0)))
@@ -37,7 +46,7 @@ def budget_cut_run():
         recv r1, r2, r3
         halt
     """)
-    telemetry, recorder = recording_telemetry()
+    telemetry = recorder = DependencyRecorder()
     system = StitchSystem(telemetry=telemetry)
     system.load(0, producer)
     system.load(1, consumer)
@@ -124,3 +133,81 @@ class TestBudgetCut:
         assert payload["partial"] is True
         assert "RoundBudgetError" in payload["error"]
         assert payload["analysis"]["outcome"] == "budget"
+
+
+def watchdog_run():
+    """Tile 0 waits on tile 1, which spins and halts without sending."""
+    waiter = assemble("movi r1, 1\nmovi r2, 0x100\nmovi r3, 1\n"
+                      "recv r1, r2, r3\nhalt")
+    spinner = assemble("movi r1, 500\nspin: addi r1, r1, -1\n"
+                       "bne r1, r0, spin\nhalt")
+    telemetry = recorder = DependencyRecorder()
+    system = StitchSystem(telemetry=telemetry, recv_timeout=50)
+    system.load(0, waiter)
+    system.load(1, spinner)
+    return record_system("watchdog-pair", system, recorder)
+
+
+class TestWatchdog:
+    def test_run_is_partial_with_timeout_outcome(self):
+        run = watchdog_run()
+        assert run.partial
+        assert type(run.error).__name__ == "RecvTimeoutError"
+        assert run.graph.outcome == "timeout"
+        assert run.to_dict()["analysis"]["outcome"] == "timeout"
+
+    def test_frontier_reads_the_watchdog_snapshot(self):
+        run = watchdog_run()
+        frontier = run.analysis.frontier()
+        assert set(frontier) == {0}
+        assert frontier[0]["peer"] == 1
+        assert frontier[0]["snapshot"]["waiting_on"] == 1
+        assert frontier[0]["snapshot"]["blocked_since"] >= 0
+
+
+def dropped_send_run():
+    """Tile 0's only message is dropped in flight; tile 1 waits for it."""
+    sender = assemble("movi r1, 1\nmovi r2, 0x100\nmovi r3, 2\n"
+                      "send r1, r2, r3\nmovi r5, 7\nhalt")
+    waiter = assemble("movi r1, 0\nmovi r2, 0x200\nmovi r3, 2\n"
+                      "recv r1, r2, r3\nhalt")
+    drop = Fault("link", src=0, dst=1, index=0, delay=0)
+    recorder = DependencyRecorder()
+    injector = Injector(InjectionPlan(name="drop", faults=(drop,)))
+    system = StitchSystem(telemetry=combine(recorder, injector))
+    system.load(0, sender)
+    system.load(1, waiter)
+    return record_system("dropped-send", system, recorder), system
+
+
+class TestDroppedSend:
+    def test_dropped_send_is_recorded_without_an_arrival(self):
+        run, system = dropped_send_run()
+        assert run.graph.outcome == "deadlock"
+        sends = [r for r in run.graph.records if r.kind == KIND_SEND]
+        assert len(sends) == 1
+        send = sends[0]
+        assert (send.tile, send.peer, send.words) == (0, 1, 2)
+        assert send.arrival == send.end
+        assert system.fabric.messages == 0
+
+    def test_sender_timeline_still_partitions_exactly(self):
+        # Compute segments hold every cycle the counters attribute,
+        # except each comm op's own issue cycle, which its span holds.
+        run, system = dropped_send_run()
+        partitioned = ("instructions", "memory_stall", "icache_stall",
+                       "branch_bubble")
+        for tile in (0, 1):
+            records = [r for r in run.graph.records if r.tile == tile]
+            attributed = sum(r.counters.get(field, 0) for r in records
+                             for field in partitioned)
+            comm_ops = sum(r.kind in (KIND_SEND, KIND_RECV)
+                           for r in records)
+            assert sum(r.compute for r in records) == attributed - comm_ops
+            assert sum(r.compute + r.end - r.issue for r in records) == \
+                system.cores[tile].cycles
+        assert run.analysis.reconciled()
+        report = Report()
+        check_critpath(run.graph, run.analysis, measured=run.measured,
+                       report=report)
+        assert not report.errors()

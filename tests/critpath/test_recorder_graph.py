@@ -7,18 +7,19 @@ import pytest
 from repro.critpath import (
     COUNTER_FIELDS,
     DependencyGraph,
-    NULL_RECORDER,
+    DependencyRecorder,
     analyze,
 )
 from repro.critpath.recorder import KIND_HALT, KIND_RECV, KIND_SEND
-from repro.critpath.runner import record_system, recording_telemetry
+from repro.critpath.runner import record_system
+from repro.probe import NULL_PROBE
 from repro.isa import assemble
 from repro.sim import StitchSystem
 from repro.sweep.runner import ring_programs
 
 
 def recorded_ring(laps=2, **system_kwargs):
-    telemetry, recorder = recording_telemetry()
+    telemetry = recorder = DependencyRecorder()
     system = StitchSystem(telemetry=telemetry, **system_kwargs)
     for tile, program in ring_programs(4, laps=laps).items():
         system.load(tile, program)
@@ -109,13 +110,11 @@ class TestJsonRoundTrip:
 
 class TestNullRecorder:
     def test_disabled_recorder_is_inert(self):
-        assert not NULL_RECORDER.enabled
-        NULL_RECORDER.send(0, 1, 4, 10, 12, (0,) * len(COUNTER_FIELDS))
-        NULL_RECORDER.fabric_send(0, 1, 4, 10, 15, 12)
-        NULL_RECORDER.tile_done(0, 20, "halt", (0,) * len(COUNTER_FIELDS))
-        NULL_RECORDER.finish("complete")
-        assert len(NULL_RECORDER) == 0
-        assert NULL_RECORDER.makespan() == 0
+        assert not NULL_PROBE.enabled
+        NULL_PROBE.comm_send(0, 1, 4, 10, 12)
+        NULL_PROBE.fabric_send(0, 1, 4, 10, 15, 12)
+        NULL_PROBE.run_end([], {}, "complete")
+        assert NULL_PROBE.members == ()
 
     def test_plain_run_records_nothing(self):
         system = StitchSystem()
@@ -126,4 +125,6 @@ class TestNullRecorder:
         system.load(0, wait)
         system.load(1, sink)
         system.run()
-        assert len(system.telemetry.recorder) == 0
+        assert system.telemetry is NULL_PROBE
+        assert all(core.selected_engine() == "fast"
+                   for core in system.cores if core is not None)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.critpath import (
+    DependencyRecorder,
     WhatIfError,
     WhatIfInfeasible,
     WhatIfSpec,
@@ -12,7 +13,6 @@ from repro.critpath.recorder import KIND_SEND
 from repro.critpath.runner import (
     record_kernel,
     record_system,
-    recording_telemetry,
     validate_whatif,
 )
 from repro.sim import StitchSystem
@@ -20,7 +20,7 @@ from repro.sweep.runner import ring_programs
 
 
 def recorded_ring(laps=2):
-    telemetry, recorder = recording_telemetry()
+    telemetry = recorder = DependencyRecorder()
     system = StitchSystem(telemetry=telemetry)
     for tile, program in ring_programs(4, laps=laps).items():
         system.load(tile, program)
@@ -48,7 +48,7 @@ def recorded_handshake(words=4):
         recv r1, r2, r3
         halt
     """)
-    telemetry, recorder = recording_telemetry()
+    telemetry = recorder = DependencyRecorder()
     system = StitchSystem(telemetry=telemetry)
     system.load(0, producer)
     system.load(1, consumer)

@@ -7,6 +7,7 @@ from repro.isa import assemble
 from repro.mem import MemorySystem
 from repro.profile import (
     CycleProfile,
+    PCProfiler,
     profile_kernel_cycles,
     render_annotated,
     render_folded,
@@ -30,7 +31,7 @@ inner:
 
 def run_profiled(source, **core_kwargs):
     program = assemble(source, name="probe")
-    core = Core(program, MemorySystem.stitch(), profile_cycles=True,
+    core = Core(program, MemorySystem.stitch(), probe=PCProfiler(),
                 **core_kwargs)
     assert core.run(max_instructions=100_000).reason == "halt"
     return CycleProfile.from_core(core), core

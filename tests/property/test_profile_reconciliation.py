@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cpu import ATTRIBUTION_BUCKETS, Core, STOP_HALT, STOP_LIMIT
 from repro.mem import MemorySystem
-from repro.profile import CycleProfile, profile_kernel_cycles
+from repro.probe import combine
+from repro.profile import CycleProfile, PCProfiler, profile_kernel_cycles
 from repro.sim.baselines import ARCH_STITCH, AppEvaluator
 from repro.telemetry import Telemetry, TimeSeries
 from repro.verify import check_profile, check_profile_run, check_timeseries
@@ -58,7 +59,7 @@ def test_profile_invariant_under_any_slicing(name, seed, slice_size):
     """Stopping and resuming the core at arbitrary points never loses
     a profiled cycle: the histogram stays exact at every pause."""
     kernel = make_kernel(name, seed=seed)
-    core = Core(kernel.program, MemorySystem.stitch(), profile_cycles=True)
+    core = Core(kernel.program, MemorySystem.stitch(), probe=PCProfiler())
     kernel.setup(core)
     for _ in range(3_000_000 // slice_size + 2):
         outcome = core.run(max_instructions=slice_size)
@@ -73,7 +74,7 @@ def app_run():
     evaluator = AppEvaluator(app4_transport())
     telemetry = Telemetry(timeseries=TimeSeries(interval=512))
     system, _ = evaluator.build_system(
-        ARCH_STITCH, items=2, telemetry=telemetry, profile_cycles=True
+        ARCH_STITCH, items=2, telemetry=combine(telemetry, PCProfiler())
     )
     results = system.run()
     profiles = {

@@ -1,9 +1,9 @@
 """Unit tests for the Stats registry, counters and histograms."""
 
+from repro.probe import NULL_PROBE
 from repro.telemetry import (
     NULL_COUNTER,
     NULL_STATS,
-    NULL_TELEMETRY,
     Stats,
     Telemetry,
     ensure_telemetry,
@@ -151,12 +151,12 @@ class TestNullPath:
         assert hist.count == 0
 
     def test_ensure_telemetry(self):
-        assert ensure_telemetry(None) is NULL_TELEMETRY
-        assert ensure_telemetry(False) is NULL_TELEMETRY
+        assert ensure_telemetry(None) is NULL_PROBE
+        assert ensure_telemetry(False) is NULL_PROBE
         bundle = ensure_telemetry(True)
         assert bundle.enabled
         assert ensure_telemetry(bundle) is bundle
-        assert not NULL_TELEMETRY.enabled
+        assert not NULL_PROBE.enabled
 
     def test_enabled_bundle_has_live_instruments(self):
         bundle = Telemetry()

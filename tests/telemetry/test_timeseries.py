@@ -1,13 +1,16 @@
 """Unit tests for the fixed-interval TimeSeries collector."""
 
 import json
+import math
 
 import pytest
 
 from repro.cpu import Core
+from repro.isa import assemble
 from repro.mem import MemorySystem
 from repro.power.chip import EnergyModel
-from repro.telemetry import NULL_TIMESERIES, TimeSeries
+from repro.probe import NULL_PROBE
+from repro.telemetry import TimeSeries
 from repro.verify import check_timeseries
 from repro.workloads import make_kernel
 
@@ -122,22 +125,20 @@ class TestExport:
 
 class TestNullPath:
     def test_null_records_nothing(self):
-        NULL_TIMESERIES.tile_sample(0, 0, {"cycles": 5})
-        NULL_TIMESERIES.link_flits((0, 1), 0, 3)
-        NULL_TIMESERIES.channel_occupancy(0, 1, 0, 2)
-        assert len(NULL_TIMESERIES) == 0
-        assert not NULL_TIMESERIES.enabled
-        assert NULL_TIMESERIES.to_dict()["tiles"] == {}
+        NULL_PROBE.link_reserved((0, 1), 0, 1, 0, 3, 0)
+        NULL_PROBE.channel_occupancy(0, 1, 0, 2)
+        assert not NULL_PROBE.enabled
+        assert not NULL_PROBE.observes_core
 
 
 class TestCoreIntegration:
     def test_kernel_intervals_reconcile_with_totals(self):
         kernel = make_kernel("fir", seed=2)
         ts = TimeSeries(interval=256)
-        core = Core(kernel.program, MemorySystem.stitch(), timeseries=ts)
+        core = Core(kernel.program, MemorySystem.stitch(), probe=ts)
         kernel.setup(core)
         assert core.run(max_instructions=3_000_000).reason == "halt"
-        core.flush_timeseries()
+        ts.run_end([core], {core: "halt"}, "complete")
         totals = ts.tile_totals(0)
         assert totals["cycles"] == core.cycles
         assert totals["instructions"] == core.instret
@@ -145,11 +146,27 @@ class TestCoreIntegration:
         assert indices == sorted(set(indices))
         assert check_timeseries(ts).ok(strict=True)
 
+    def test_deadlocked_run_keeps_its_last_interval(self):
+        from repro.sim import DeadlockError, StitchSystem
+
+        spin_then_wait = assemble(
+            "movi r1, 300\nspin: addi r1, r1, -1\nbne r1, r0, spin\n"
+            "movi r1, 1\nmovi r2, 0x100\nmovi r3, 1\nrecv r1, r2, r3\nhalt"
+        )
+        ts = TimeSeries(interval=64)
+        system = StitchSystem(telemetry=ts)
+        core = system.load(0, spin_then_wait)
+        system.load(1, assemble("halt"))
+        with pytest.raises(DeadlockError):
+            system.run()
+        totals = ts.tile_totals(0)
+        assert totals["cycles"] == core.cycles
+        assert totals["instructions"] == core.instret
+
     def test_disabled_core_pays_one_comparison(self):
         kernel = make_kernel("fir", seed=2)
         core = Core(kernel.program, MemorySystem.stitch())
-        assert core._ts_next == float("inf")
+        assert core._boundary == math.inf
         kernel.setup(core)
         core.run(max_instructions=3_000_000)
-        core.flush_timeseries()  # no-op on the null collector
-        assert len(NULL_TIMESERIES) == 0
+        assert core.selected_engine() == "fast"

@@ -3,7 +3,8 @@
 import gzip
 import json
 
-from repro.telemetry import NULL_TRACER, Tracer
+from repro.probe import NULL_PROBE
+from repro.telemetry import Tracer
 
 
 class TestEvents:
@@ -109,9 +110,10 @@ class TestChromeExport:
 
     def test_gz_null_tracer(self, tmp_path):
         path = tmp_path / "empty.json.gz"
-        NULL_TRACER.write_chrome(path)
+        Tracer().write_chrome(path)
         with gzip.open(path, "rt", encoding="utf-8") as handle:
-            assert json.load(handle)["traceEvents"] == []
+            events = json.load(handle)["traceEvents"]
+        assert {event["ph"] for event in events} == {"M"}
 
 
 class TestFlowEvents:
@@ -173,9 +175,8 @@ class TestFlowEvents:
 
 class TestNullTracer:
     def test_records_nothing(self):
-        NULL_TRACER.tile_span(0, "a", 0, 5, "halt", 3)
-        NULL_TRACER.comm_send(0, 1, 2, 3, 4)
-        NULL_TRACER.cix(0, 0, 0)
-        assert len(NULL_TRACER) == 0
-        assert not NULL_TRACER.enabled
-        assert NULL_TRACER.to_chrome()["traceEvents"] == []
+        NULL_PROBE.tile_span(0, "a", 0, 5, "halt", 3)
+        NULL_PROBE.comm_send(0, 1, 2, 3, 4)
+        NULL_PROBE.cix(0, 0, 0)
+        assert NULL_PROBE.members == ()
+        assert not NULL_PROBE.enabled

@@ -16,6 +16,22 @@ class TestCli:
         assert "stopped: halt" in out
         assert "'r3': 42" in out
 
+    def test_plain_run_takes_the_fast_loop(self, tmp_path, monkeypatch):
+        from repro.cpu import Core
+
+        engines = []
+        dispatch = Core._dispatch
+
+        def spy(core, *args):
+            engines.append(core.selected_engine())
+            return dispatch(core, *args)
+
+        monkeypatch.setattr(Core, "_dispatch", spy)
+        source = tmp_path / "prog.s"
+        source.write_text("movi r1, 6\nmovi r2, 7\nmul r3, r1, r2\nhalt\n")
+        main(["run", str(source)])
+        assert engines == ["fast"]
+
     def test_compile_command_single_option(self, capsys):
         main(["compile", "fir", "--option", "AT-MA"])
         out = capsys.readouterr().out

@@ -10,9 +10,9 @@ import json
 
 import pytest
 
-from repro.critpath import analyze
+from repro.critpath import DependencyRecorder, analyze
 from repro.critpath.graph import COMPUTE
-from repro.critpath.runner import record_system, recording_telemetry
+from repro.critpath.runner import record_system
 from repro.sim import StitchSystem
 from repro.sweep.runner import ring_programs
 from repro.verify import RULES, check_critpath, check_critpath_capture
@@ -21,7 +21,7 @@ from repro.verify.diagnostics import Severity
 
 @pytest.fixture(scope="module")
 def ring_run():
-    telemetry, recorder = recording_telemetry()
+    telemetry = recorder = DependencyRecorder()
     system = StitchSystem(telemetry=telemetry)
     for tile, program in ring_programs(4, laps=2).items():
         system.load(tile, program)

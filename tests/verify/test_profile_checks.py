@@ -3,7 +3,7 @@
 from repro.cpu import Core
 from repro.isa import assemble
 from repro.mem import MemorySystem
-from repro.profile import CycleProfile
+from repro.profile import CycleProfile, PCProfiler
 from repro.telemetry import TimeSeries
 from repro.verify import (
     RULES,
@@ -24,7 +24,7 @@ loop:
 
 def profiled_core():
     core = Core(assemble(SOURCE, name="probe"), MemorySystem.stitch(),
-                profile_cycles=True)
+                probe=PCProfiler())
     assert core.run().reason == "halt"
     return core
 
