@@ -65,21 +65,35 @@ def cmd_kernels(_args):
         print(f"{name:12s} {profile.instructions:12d} {profile.cycles:10d}  {doc}")
 
 
-def cmd_compile(args):
-    from repro.compiler.driver import (
-        ALL_OPTIONS,
-        KernelCompiler,
-        LOCUS_OPTION,
-    )
-    from repro.workloads import make_kernel
+def _patch_options(name):
+    """The patch option called ``name`` (all 13 when ``None``); exits 1
+    with one line for an unknown name, before any kernel is compiled."""
+    from repro.compiler.driver import ALL_OPTIONS, LOCUS_OPTION
 
+    options = ALL_OPTIONS + (LOCUS_OPTION,)
+    if not name:
+        return options
+    chosen = tuple(o for o in options if o.name == name)
+    if not chosen:
+        sys.exit(
+            f"unknown option {name!r}: not a patch option "
+            f"({[o.name for o in options]})"
+        )
+    return chosen
+
+
+def cmd_compile(args):
+    from repro.compiler.driver import KernelCompiler
+    from repro.workloads import KERNEL_FACTORIES, make_kernel
+
+    if args.kernel not in KERNEL_FACTORIES:
+        sys.exit(
+            f"unknown compile target {args.kernel!r}: not a kernel "
+            f"({sorted(KERNEL_FACTORIES)})"
+        )
+    options = _patch_options(args.option)
     kernel = make_kernel(args.kernel, seed=args.seed)
     compiler = KernelCompiler(kernel, allow_replication=not args.no_replication)
-    options = ALL_OPTIONS + (LOCUS_OPTION,)
-    if args.option:
-        options = tuple(o for o in options if o.name == args.option)
-        if not options:
-            sys.exit(f"unknown option {args.option!r}")
     print(f"{args.kernel}: baseline {compiler.baseline_cycles} cycles")
     for option in options:
         compiled = compiler.compile(option)
@@ -518,23 +532,15 @@ def _verify_platform(spec):
 def _explain_kernel(name, args):
     import json
 
-    from repro.compiler.driver import (
-        ALL_OPTIONS,
-        KernelCompiler,
-        LOCUS_OPTION,
-    )
+    from repro.compiler.driver import KernelCompiler
     from repro.provenance import CompileReport, dfg_dot
     from repro.verify import check_compile_report
     from repro.workloads import make_kernel
 
+    options = _patch_options(args.option)
     kernel = make_kernel(name, seed=args.seed)
     report = CompileReport(name)
     compiler = KernelCompiler(kernel, allow_replication=True, report=report)
-    options = ALL_OPTIONS + (LOCUS_OPTION,)
-    if args.option:
-        options = tuple(o for o in options if o.name == args.option)
-        if not options:
-            sys.exit(f"unknown option {args.option!r}")
     compiled = compiler.compile_options(options)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -122,6 +122,21 @@ def _build_dependences(instructions):
     return edges
 
 
+def _block_dependences(block, placements):
+    """``block``'s dependence edges, kept on the placements' DFG.
+
+    Selection trial-rewrites a block once per candidate it tests, and
+    every option of a kernel rewrites the same blocks, so the edges are
+    built once per DFG and shared by all of those rewrites.
+    """
+    if not placements:
+        return _build_dependences(block.instructions)
+    dfg = placements[0][0].candidate.dfg
+    if dfg.dependences is None:
+        dfg.dependences = frozenset(_build_dependences(block.instructions))
+    return dfg.dependences
+
+
 def _make_cix(mapping, cfg_id, pool):
     # Operand position IS the patch's ext slot index: unused slots up
     # to the last bound one must be kept (as r0), never collapsed.
@@ -151,68 +166,52 @@ def rewrite_block(block, placements, pool):
     Raises :class:`CodegenError` if contraction creates a cycle.
     """
     instructions = block.instructions
-    edges = _build_dependences(instructions)
-    group_of = {}
-    groups = {}
+    edges = _block_dependences(block, placements)
+    # Each node of the contracted graph is named by its first position,
+    # which is also its scheduling priority (original order).
+    leader = list(range(len(instructions)))
+    cix_at = {}                 # a group's first position -> placement
     for mapping, cfg_id in placements:
-        members = {
+        members = sorted(
             mapping.candidate.dfg.nodes[node_id].pos
             for node_id in mapping.candidate.node_ids
-        }
+        )
         for pos in members:
-            if pos in group_of:
+            if leader[pos] != pos or pos in cix_at:
                 raise CodegenError("overlapping candidate placements")
-            group_of[pos] = id(mapping)
-        groups[id(mapping)] = (mapping, cfg_id, min(members))
-
-    def rep(pos):
-        gid = group_of.get(pos)
-        return ("g", gid) if gid is not None else ("i", pos)
+            leader[pos] = members[0]
+        cix_at[members[0]] = (mapping, cfg_id)
 
     # Contract members, inheriting edges.
-    contracted = set()
-    for src, dst in edges:
-        a, b = rep(src), rep(dst)
-        if a != b:
-            contracted.add((a, b))
-
-    nodes = set()
-    for index in range(len(instructions)):
-        nodes.add(rep(index))
-
-    priority = {}
-    for node in nodes:
-        if node[0] == "i":
-            priority[node] = node[1]
-        else:
-            priority[node] = groups[node[1]][2]
+    contracted = {
+        (leader[src], leader[dst]) for src, dst in edges
+        if leader[src] != leader[dst]
+    }
 
     # Kahn's algorithm with original-order priority.
-    incoming = {node: 0 for node in nodes}
-    adjacency = {node: [] for node in nodes}
+    incoming = dict.fromkeys(leader, 0)
+    adjacency = {node: [] for node in incoming}
     for src, dst in contracted:
         adjacency[src].append(dst)
         incoming[dst] += 1
-    heap = [(priority[n], n) for n in nodes if incoming[n] == 0]
+    heap = [node for node, count in incoming.items() if count == 0]
     heapq.heapify(heap)
     order = []
     while heap:
-        _, node = heapq.heappop(heap)
+        node = heapq.heappop(heap)
         order.append(node)
         for succ in adjacency[node]:
             incoming[succ] -= 1
             if incoming[succ] == 0:
-                heapq.heappush(heap, (priority[succ], succ))
-    if len(order) != len(nodes):
+                heapq.heappush(heap, succ)
+    if len(order) != len(incoming):
         raise CodegenError("contraction created a dependence cycle")
 
-    result = []
-    for node in order:
-        if node[0] == "i":
-            result.append(instructions[node[1]].copy())
-        else:
-            mapping, cfg_id, _ = groups[node[1]]
-            result.append(_make_cix(mapping, cfg_id, pool))
+    result = [
+        _make_cix(*cix_at[node], pool) if node in cix_at
+        else instructions[node].copy()
+        for node in order
+    ]
     return _eliminate_dead_moves(result)
 
 

@@ -7,6 +7,13 @@ propagation.  Value edges follow register def-use; a separate total
 order is kept over memory and communication operations so candidates
 and the scheduler never reorder them unsafely.
 
+Reachability, the memory order and each node's register-file traffic
+are precomputed once per graph as Python-int bitsets (bit ``j`` stands
+for node ``j``, or for rank ``j`` in the memory order), so a candidate's
+convexity and port-budget tests are a few mask operations instead of a
+graph walk (the reachability form of Pozzi, Atasu & Ienne, IEEE TCAD
+2006).
+
 Input references are tuples:
 
 * ``('node', id)`` — the value of another node in the block,
@@ -79,6 +86,10 @@ class DFG:
         self.mem_order = []       # positions of mem/comm ops, program order
         self._consumers = {}      # node id -> [node ids]
         self._build(spm_only)
+        self._build_masks()
+        # Codegen's dependence edges over block positions, built by the
+        # first rewrite of this block and shared by every later one.
+        self.dependences = None
 
     # -- construction -----------------------------------------------------
 
@@ -158,6 +169,75 @@ class DFG:
             if ref[0] == "node" and reg in self.live_out_regs:
                 self.nodes[ref[1]].live_out = True
 
+    def _build_masks(self):
+        """Per-node Python-int bitsets for candidate tests.
+
+        Bit ``j`` stands for node ``j`` unless said otherwise.
+
+        * ``ancestors[i]`` / ``descendants[i]``: the nodes with a
+          value-edge path to / from node ``i``.  Producers precede their
+          consumers, so one pass each way builds both.
+        * ``mem_bits[i]``: bit ``k`` for a memory node at rank ``k`` of
+          ``mem_order`` (0 for other nodes); ``load_bits`` marks the
+          ranks holding loads.
+        * ``input_bits[i]``: the refs node ``i`` reads, a node ref as its
+          node's bit and each distinct register or immediate ref (memory
+          offsets included, see :meth:`external_inputs`) as a bit past
+          the nodes.
+        * ``consumer_bits[i]``: the nodes reading node ``i``'s value;
+          ``escape_bits``: the nodes whose value always leaves a
+          candidate (live out, or read by a move, branch or comm op).
+        """
+        count = len(self.nodes)
+        self.ancestors = ancestors = [0] * count
+        for node in self.nodes:
+            mask = 0
+            for pred in node.value_pred_ids():
+                mask |= ancestors[pred] | 1 << pred
+            ancestors[node.id] = mask
+        self.descendants = descendants = [0] * count
+        for node_id in reversed(range(count)):
+            mask = 0
+            for consumer in self.consumers(node_id):
+                mask |= descendants[consumer] | 1 << consumer
+            descendants[node_id] = mask
+
+        self.mem_bits = [0] * count
+        self.load_bits = 0
+        for rank, pos in enumerate(self.mem_order):
+            node = self.node_at_pos.get(pos)
+            if node is not None:
+                self.mem_bits[node.id] = 1 << rank
+                if node.op is Op.LW:
+                    self.load_bits |= 1 << rank
+
+        ref_bits = {}
+        self.input_bits = [0] * count
+        self.consumer_bits = [0] * count
+        self.escape_bits = 0
+        for node in self.nodes:
+            refs = list(node.inputs)
+            if node.is_mem and node.mem_offset != 0:
+                refs.append(("imm", node.mem_offset))
+            for kind, value in refs:
+                if kind == "node":
+                    self.input_bits[node.id] |= 1 << value
+                else:
+                    bit = ref_bits.setdefault(
+                        (kind, value), 1 << (count + len(ref_bits))
+                    )
+                    self.input_bits[node.id] |= bit
+            if node.out_reg is None:
+                continue
+            if node.live_out:
+                self.escape_bits |= 1 << node.id
+            for pos in node.uses:
+                reader = self.node_at_pos.get(pos)
+                if reader is None:
+                    self.escape_bits |= 1 << node.id
+                else:
+                    self.consumer_bits[node.id] |= 1 << reader.id
+
     # -- queries ---------------------------------------------------------------
 
     def consumers(self, node_id):
@@ -174,15 +254,6 @@ class DFG:
                 continue
             result.append(node)
         return result
-
-    def has_external_consumer(self, node, member_ids):
-        """True if ``node``'s value escapes the candidate ``member_ids``."""
-        if node.out_reg is None:
-            return False
-        if node.live_out:
-            return True
-        member_positions = {self.nodes[m].pos for m in member_ids}
-        return any(pos not in member_positions for pos in node.uses)
 
     def external_inputs(self, member_ids):
         """Distinct outside refs feeding the candidate (mapping view).
@@ -211,10 +282,19 @@ class DFG:
 
     def outputs(self, member_ids):
         """Node ids whose values must be written to the register file."""
+        members = self.masks(member_ids)[0]
         return [
             node_id for node_id in sorted(set(member_ids))
-            if self.has_external_consumer(self.nodes[node_id], member_ids)
+            if self.escapes(node_id, members)
         ]
+
+    def escapes(self, node_id, members):
+        """True if node ``node_id``'s value is read outside the candidate
+        whose node mask is ``members``."""
+        return bool(
+            self.escape_bits >> node_id & 1
+            or self.consumer_bits[node_id] & ~members
+        )
 
     def is_convex(self, member_ids):
         """No outside path from a member back into the candidate.
@@ -223,46 +303,39 @@ class DFG:
         may not straddle a non-member memory or communication op that
         both depends on it and feeds it).
         """
-        members = set(member_ids)
-        if self._mem_span_violated(members):
-            return False
-        # Forward reachability from the candidate through outside nodes.
-        frontier = []
-        for node_id in members:
-            for consumer in self.consumers(node_id):
-                if consumer not in members:
-                    frontier.append(consumer)
-        seen = set()
-        while frontier:
-            node_id = frontier.pop()
-            if node_id in seen:
-                continue
-            seen.add(node_id)
-            if node_id in members:
-                return False
-            for consumer in self.consumers(node_id):
-                frontier.append(consumer)
-        return True
+        members, desc, anc, mem, _ = self.masks(member_ids)
+        return self.convex(members, desc, anc, mem)
 
-    def _mem_span_violated(self, members):
-        """A hazardous non-member mem/comm op inside the memory span.
+    def masks(self, member_ids):
+        """``(members, desc, anc, mem, ins)`` of a candidate: its node
+        bits and the unions of its members' ``descendants``,
+        ``ancestors``, ``mem_bits`` and ``input_bits``."""
+        members = desc = anc = mem = ins = 0
+        for node_id in member_ids:
+            members |= 1 << node_id
+            desc |= self.descendants[node_id]
+            anc |= self.ancestors[node_id]
+            mem |= self.mem_bits[node_id]
+            ins |= self.input_bits[node_id]
+        return members, desc, anc, mem, ins
 
-        Outside *loads* commute with member loads, so they only violate
-        the span when the candidate contains a store; outside stores
-        and comm ops always do.
+    def convex(self, members, desc, anc, mem):
+        """:meth:`is_convex` over masks: the members, the unions of their
+        descendants and ancestors, and their memory-order bits.
+
+        An outside node both reachable from and reaching the candidate
+        lies on a path out of it and back.  Across the memory span,
+        outside *loads* commute with member loads, so they only block a
+        candidate that contains a store; outside stores and comm ops
+        always do.
         """
-        member_mem = [self.nodes[m] for m in members if self.nodes[m].is_mem]
-        if len(member_mem) < 2:
+        if desc & anc & ~members:
             return False
-        positions = [node.pos for node in member_mem]
-        lo, hi = min(positions), max(positions)
-        member_has_store = any(node.op is Op.SW for node in member_mem)
-        for pos in self.mem_order:
-            if lo < pos < hi:
-                node = self.node_at_pos.get(pos)
-                if node is not None and node.id in members:
-                    continue
-                outside_is_load = node is not None and node.op is Op.LW
-                if not outside_is_load or member_has_store:
-                    return True
-        return False
+        if mem & (mem - 1) == 0:                # fewer than two mem ops
+            return True
+        # Ranks strictly between the first and the last member mem op.
+        span = (1 << (mem.bit_length() - 1)) - ((mem & -mem) << 1)
+        outside = span & ~mem
+        if mem & ~self.load_bits:               # the candidate stores
+            return not outside
+        return not (outside & ~self.load_bits)

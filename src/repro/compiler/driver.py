@@ -11,6 +11,7 @@ The stitcher (:mod:`repro.core.stitching`) later picks one version per
 kernel chip-wide.
 """
 
+import copy
 import time
 
 from repro.compiler.codegen import (
@@ -27,7 +28,7 @@ from repro.core.executor import PatchExecutor
 from repro.core.patches import AT_AS, AT_MA, AT_SA, LOCUS_SFU
 from repro.cpu.core import Core, STOP_HALT
 from repro.mem.hierarchy import MemorySystem
-from repro.provenance.records import NULL_REPORT
+from repro.provenance.records import EnumerationLog, NULL_REPORT
 
 
 def _first_divergence(expected, actual, prefix=""):
@@ -227,6 +228,11 @@ class KernelCompiler:
         with self.report.phase("reference"):
             self._reference = self._run(kernel.program, cfg_table=None)[1]
         self._cache = {}
+        # A hot block's DFG depends only on the block and its candidate
+        # sweep only on the DFG and the output-port budget, so every
+        # option with the same budget shares one sweep.
+        self._dfgs = {}         # block index -> DFG
+        self._sweeps = {}       # (block index, max_outputs) -> sweep
 
     # -- execution ------------------------------------------------------------
 
@@ -284,32 +290,43 @@ class KernelCompiler:
         self._cache[option.name] = compiled
         return compiled
 
+    def _sweep(self, block, max_outputs):
+        """``(candidates, EnumerationLog)`` of one hot block under one
+        output-port budget: enumerated on first use, then shared."""
+        key = (block.index, max_outputs)
+        if key not in self._sweeps:
+            dfg = self._dfgs.get(block.index)
+            if dfg is None:
+                dfg = self._dfgs[block.index] = DFG(
+                    block,
+                    spm_only=self.profile.spm_only,
+                    live_out=self.block_live_out[block.index],
+                    replicable=frozenset(self.replicable),
+                )
+            log = EnumerationLog()
+            candidates = enumerate_candidates(
+                dfg, max_inputs=self.max_inputs, max_outputs=max_outputs,
+                observer=log,
+            )
+            self._sweeps[key] = (candidates, log)
+        return self._sweeps[key]
+
     def _compile(self, option, version):
         program = self.kernel.program
         pool = ImmPool.for_program(program)
+        max_outputs = (
+            option.max_outputs if option.max_outputs is not None
+            else self.max_outputs
+        )
         all_mappings = []
         rewrites = {}
         for hot in self.profile.hot_blocks(self.hot_threshold):
             block_rec = version.block(hot.block.index, hot.weight)
-            dfg = DFG(
-                hot.block,
-                spm_only=self.profile.spm_only,
-                live_out=self.block_live_out[hot.block.index],
-                replicable=frozenset(self.replicable),
-            )
-            max_outputs = (
-                option.max_outputs if option.max_outputs is not None
-                else self.max_outputs
-            )
             with self.report.phase("enumerate", owner=version):
-                candidates = enumerate_candidates(
-                    dfg, max_inputs=self.max_inputs, max_outputs=max_outputs,
-                    observer=(
-                        block_rec.enumeration
-                        if block_rec is not None else None
-                    ),
-                )
+                candidates, log = self._sweep(hot.block, max_outputs)
             if block_rec is not None:
+                # Each version keeps its own copy of the shared tally.
+                block_rec.enumeration = copy.deepcopy(log)
                 block_rec.enumerated = len(candidates)
             with self.report.phase("select", owner=version):
                 mappings = select_ises(

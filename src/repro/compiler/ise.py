@@ -3,7 +3,11 @@
 Candidates are connected, convex subgraphs of a hot block's DFG obeying
 the register-file constraint: at most 4 inputs and 2 outputs
 (Section IV).  Connected subgraphs are enumerated exactly once with the
-ESU algorithm; convexity and I/O limits filter the stream.  The
+ESU algorithm (Wernicke 2006); convexity and I/O limits filter the
+stream.  Each subgraph carries the bitset unions of its members'
+descendant and ancestor closures, memory-order bits and input refs, so
+its convexity test (:meth:`DFG.convex`) and port counts are a few mask
+operations; a :class:`Candidate` is built only for feasible ones.  The
 ``max_size`` bound (default 8 — the unit budget of a fused pair) keeps
 enumeration tractable on large blocks.
 """
@@ -95,30 +99,35 @@ def enumerate_candidates(
     """
     eligible_ids = [node.id for node in dfg.eligible_nodes()]
     adjacency = _adjacency(dfg, eligible_ids)
+    descendants, ancestors = dfg.descendants, dfg.ancestors
+    mem_bits, input_bits = dfg.mem_bits, dfg.input_bits
     found = []
     visited = 0
 
-    def feasible(node_set):
+    def feasible(node_set, members, desc, anc, mem, ins):
+        """The candidate over ``node_set``, or ``None``; the masks are
+        ``dfg.masks(node_set)``, carried incrementally by ``extend``."""
         if observer is not None:
             observer.note_visited()
-        if not dfg.is_convex(node_set):
+        if not dfg.convex(members, desc, anc, mem):
             if observer is not None:
                 observer.note_rejected(REJECT_CONVEXITY)
             return None
-        candidate = Candidate(dfg, node_set)
-        if len(candidate.inputs) > max_inputs:
+        if bin(ins & ~members).count("1") > max_inputs:
             if observer is not None:
                 observer.note_rejected(REJECT_INPUTS)
             return None
         # Zero outputs is legal (pure store patterns); codegen binds a
         # placeholder destination register.
-        if len(candidate.outputs) > max_outputs:
+        outputs = sum(dfg.escapes(node_id, members) for node_id in node_set)
+        if outputs > max_outputs:
             if observer is not None:
                 observer.note_rejected(REJECT_OUTPUTS)
             return None
-        return candidate
+        return Candidate(dfg, node_set)
 
-    def extend(sub, ext, root, sub_neighborhood):
+    def extend(sub, ext, root, sub_neighborhood, members, desc, anc, mem,
+               ins):
         nonlocal visited
         if visited >= limit:
             if observer is not None:
@@ -126,7 +135,7 @@ def enumerate_candidates(
             return
         visited += 1
         if len(sub) >= min_size:
-            candidate = feasible(sub)
+            candidate = feasible(sub, members, desc, anc, mem, ins)
             if candidate is not None:
                 found.append(candidate)
         if len(sub) >= max_size:
@@ -143,11 +152,17 @@ def enumerate_candidates(
                 ext + exclusive,
                 root,
                 sub_neighborhood | {w} | adjacency[w],
+                members | 1 << w,
+                desc | descendants[w],
+                anc | ancestors[w],
+                mem | mem_bits[w],
+                ins | input_bits[w],
             )
 
     for root in sorted(eligible_ids):
         ext0 = [u for u in adjacency[root] if u > root]
-        extend({root}, ext0, root, {root} | adjacency[root])
+        extend({root}, ext0, root, {root} | adjacency[root],
+               *dfg.masks((root,)))
 
     found.extend(
         _independent_pairs(dfg, eligible_ids, feasible)
@@ -166,29 +181,16 @@ def _independent_pairs(dfg, eligible_ids, feasible):
     reordering-safety analysis for disconnected stores is not worth
     the marginal gain.
     """
-
-    def reachable(src, dst):
-        frontier = [src]
-        seen = set()
-        while frontier:
-            node = frontier.pop()
-            if node == dst:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(dfg.consumers(node))
-        return False
-
+    descendants, ancestors = dfg.descendants, dfg.ancestors
     compute_ids = [
         node_id for node_id in eligible_ids if not dfg.nodes[node_id].is_mem
     ]
     pairs = []
     for index, a in enumerate(compute_ids):
         for b in compute_ids[index + 1:]:
-            if reachable(a, b) or reachable(b, a):
-                continue
-            candidate = feasible({a, b})
+            if (descendants[a] | ancestors[a]) >> b & 1:
+                continue  # one reaches the other
+            candidate = feasible({a, b}, *dfg.masks((a, b)))
             if candidate is not None:
                 pairs.append(candidate)
     return pairs

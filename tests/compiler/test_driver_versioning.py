@@ -1,18 +1,24 @@
 """Driver versioning: one validated executable per patch option."""
 
+from collections import Counter
+
 import pytest
 
+from repro.compiler import driver
+from repro.compiler.dfg import DFG
 from repro.compiler.driver import (
     ALL_OPTIONS,
     FUSED_OPTIONS,
     KernelCompiler,
+    LOCUS_OPTION,
     MiscompileError,
     PatchOption,
     SINGLE_OPTIONS,
     _first_divergence,
 )
+from repro.compiler.ise import enumerate_candidates
 from repro.core.patches import AT_AS, AT_MA
-from repro.provenance import CompileReport
+from repro.provenance import CompileReport, EnumerationLog
 from repro.workloads import make_kernel
 
 
@@ -65,6 +71,66 @@ class TestVersioning:
         compiler, compiled, _ = fir_versions
         again = compiler.compile(ALL_OPTIONS[0])
         assert again is compiled[ALL_OPTIONS[0].name]
+
+
+class TestSharedSweeps:
+    """Every option with one output-port budget shares a hot block's
+    sweep, and no version's provenance shows it."""
+
+    @pytest.mark.parametrize("name", ["aes", "fft"])
+    def test_one_sweep_per_block_and_budget(self, name, monkeypatch):
+        sweeps = Counter()
+
+        def counting(dfg, *args, **kwargs):
+            sweeps[(dfg.block.index, kwargs["max_outputs"])] += 1
+            return enumerate_candidates(dfg, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "enumerate_candidates", counting)
+        report = CompileReport(name)
+        compiler = KernelCompiler(make_kernel(name), report=report)
+        options = ALL_OPTIONS + (LOCUS_OPTION,)
+        compiler.compile_options(options)
+
+        hot = compiler.profile.hot_blocks(compiler.hot_threshold)
+        assert hot
+        assert sweeps == Counter(
+            {(block.block.index, outputs): 1
+             for block in hot for outputs in (1, 2)}
+        )
+        fresh = {}
+        for block in hot:
+            dfg = DFG(
+                block.block,
+                spm_only=compiler.profile.spm_only,
+                live_out=compiler.block_live_out[block.block.index],
+                replicable=frozenset(compiler.replicable),
+            )
+            for outputs in (1, 2):
+                log = EnumerationLog()
+                found = enumerate_candidates(
+                    dfg, max_outputs=outputs, observer=log
+                )
+                fresh[(block.block.index, outputs)] = (log.to_dict(),
+                                                       len(found))
+        assert len(report.versions) == 13
+        for option in options:
+            version = report.versions[option.name]
+            assert version.accounted(), option.name
+            outputs = option.max_outputs or compiler.max_outputs
+            assert [r.block_index for r in version.blocks] \
+                == [block.block.index for block in hot]
+            for record in version.blocks:
+                assert (record.enumeration.to_dict(), record.enumerated) \
+                    == fresh[(record.block_index, outputs)], option.name
+
+    def test_versions_hold_their_own_tally(self):
+        report = CompileReport("fir")
+        compiler = KernelCompiler(make_kernel("fir"), report=report)
+        compiler.compile_options(SINGLE_OPTIONS[:2])
+        first, second = (report.versions[o.name] for o in SINGLE_OPTIONS[:2])
+        assert first.blocks[0].enumeration is not second.blocks[0].enumeration
+        assert first.blocks[0].enumeration.rejections \
+            is not second.blocks[0].enumeration.rejections
 
 
 class TestMiscompileError:

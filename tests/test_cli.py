@@ -43,6 +43,28 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["compile", "fir", "--option", "NOPE"])
 
+    def test_compile_unknown_kernel_is_one_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "nosuch"])
+        message = str(exc.value.code)
+        assert message.startswith("unknown compile target 'nosuch': not a kernel")
+        assert "'fir'" in message and "\n" not in message
+
+    @pytest.mark.parametrize("command", ["compile", "explain"])
+    def test_unknown_option_rejected_before_compiling(self, command,
+                                                      monkeypatch):
+        from repro.compiler import driver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("KernelCompiler constructed")
+
+        monkeypatch.setattr(driver, "KernelCompiler", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "fir", "--option", "NOPE"])
+        message = str(exc.value.code)
+        assert message.startswith("unknown option 'NOPE': not a patch option")
+        assert "'AT-MA'" in message and "\n" not in message
+
     def test_unknown_app_exits(self):
         with pytest.raises(SystemExit):
             main(["app", "APP9"])
