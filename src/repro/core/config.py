@@ -150,15 +150,13 @@ class PatchConfig:
             used.add(2)
         if self.t is TMode.STORE_ADDR_CHAIN:
             used.add(3)
-        # An implicit chain default of ext0 counts as a read when the
-        # first active unit consumes the chain.
+        # The chain wire carries ext0 until a unit drives it, so the
+        # first active unit reads ext0 when it is the LMAU (every T mode
+        # consumes the chain for addr or data) or reads the chain.
         first = self.active_positions()[0]
-        if first == 1:
-            used.add(0)  # every T mode consumes the chain for addr or data
-        if first in (2, 3):
-            unit_cfg = self.u2 if first == 2 else self.u3
-            if unit_cfg.in1 == Source.CHAIN:
-                used.add(0)
+        unit_cfg = self.unit_config(first)
+        if unit_cfg is None or Source.CHAIN in (unit_cfg.in1, unit_cfg.in2):
+            used.add(0)
         return sorted(used)
 
     # -- encoding ------------------------------------------------------------
@@ -210,12 +208,20 @@ class PatchConfig:
         def get(offset, width):
             return (bits >> offset) & ((1 << width) - 1)
 
+        def menu_op(position, code):
+            ops = ptype.unit(position).ops
+            if code > len(ops):
+                raise ValueError(
+                    f"unit {position} of {ptype.name} has no op code "
+                    f"{code} (menu: {[o.value for o in ops]})"
+                )
+            return ops[code - 1]
+
         u0 = None
         op_code = get(0, 3)
         if op_code:
-            spec = ptype.unit(0)
             u0 = UnitConfig(
-                spec.ops[op_code - 1],
+                menu_op(0, op_code),
                 Source.ext(get(3, 2)),
                 Source.ext(get(5, 2)),
             )
@@ -224,11 +230,10 @@ class PatchConfig:
         for spec_pos, base in ((2, 9), (3, 14)):
             op_code = get(base, 2)
             if op_code:
-                spec = ptype.unit(spec_pos)
                 in2_code = get(base + 3, 2)
                 late.append(
                     UnitConfig(
-                        spec.ops[op_code - 1],
+                        menu_op(spec_pos, op_code),
                         Source.CHAIN if get(base + 2, 1) == 0 else Source.EXT2,
                         Source.CHAIN if in2_code == 0 else Source.ext(in2_code),
                     )

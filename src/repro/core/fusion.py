@@ -94,8 +94,9 @@ class FusedConfig:
     ``b_ext`` wires each of patch B's four external operand slots to an
     original operand (``ext0..3``) or to one of patch A's outputs.
     ``outs`` names the (up to two) values written back to the origin
-    register file.  ``remote_tile`` is bound by the stitcher once the
-    pair is placed.
+    register file.  ``remote_tile``, when set, names the tile whose
+    scratchpad the B half's LMAU uses; the mapper leaves it None (the
+    stitcher records the partner tile in ``Assignment.remote_tile``).
     """
 
     def __init__(self, cfg_a, cfg_b, b_ext, outs, remote_tile=None):

@@ -9,10 +9,12 @@ its operation class (Section III-A of the paper):
 * ``T`` — load/store to the local scratchpad,
 * moves are "wiring" and carry no class.
 
-The pure-value evaluators (:func:`eval_alu`, :func:`eval_shift`,
-:func:`eval_mul`) are shared between the CPU interpreter and the patch
-executor so that a custom instruction is bit-identical to the software
-sequence it replaces.
+Each register-form op's value is defined once, in :data:`OP_VALUE`:
+the CPU interpreter evaluates through :func:`eval_alu`,
+:func:`eval_shift` and :func:`eval_mul`, which dispatch through it, and
+the patch executor binds its entries per configured unit, so that a
+custom instruction is bit-identical to the software sequence it
+replaces.
 """
 
 import enum
@@ -220,45 +222,90 @@ def op_class(op):
     return OP_CLASS[op]
 
 
+def _add(lhs, rhs):
+    return wrap32(lhs + rhs)
+
+
+def _sub(lhs, rhs):
+    return wrap32(lhs - rhs)
+
+
+def _and(lhs, rhs):
+    return wrap32(lhs & rhs)
+
+
+def _or(lhs, rhs):
+    return wrap32(lhs | rhs)
+
+
+def _xor(lhs, rhs):
+    return wrap32(lhs ^ rhs)
+
+
+def _slt(lhs, rhs):
+    return 1 if lhs < rhs else 0
+
+
+def _sltu(lhs, rhs):
+    return 1 if _u32(lhs) < _u32(rhs) else 0
+
+
+def _seq(lhs, rhs):
+    return 1 if lhs == rhs else 0
+
+
+def _sll(value, amount):
+    return wrap32(_u32(value) << (amount & 31))
+
+
+def _srl(value, amount):
+    return wrap32(_u32(value) >> (amount & 31))
+
+
+def _sra(value, amount):
+    return wrap32(value >> (amount & 31))
+
+
+def _mul(lhs, rhs):
+    return wrap32(lhs * rhs)
+
+
+def _mulh(lhs, rhs):
+    return wrap32((lhs * rhs) >> 32)
+
+
+#: The value function ``(lhs, rhs) -> value`` of every register-form A,
+#: S and M operation, on signed 32-bit operands (shift amounts use their
+#: low 5 bits).  The only definition of each op's value: the interpreter
+#: reaches it through :func:`eval_alu`, :func:`eval_shift` and
+#: :func:`eval_mul`, and the patch executor binds it per unit when it
+#: lowers a configuration.
+OP_VALUE = {
+    Op.ADD: _add, Op.SUB: _sub, Op.AND: _and, Op.OR: _or, Op.XOR: _xor,
+    Op.SLT: _slt, Op.SLTU: _sltu, Op.SEQ: _seq,
+    Op.SLL: _sll, Op.SRL: _srl, Op.SRA: _sra,
+    Op.MUL: _mul, Op.MULH: _mulh,
+}
+
+
 def eval_alu(op, lhs, rhs):
     """Evaluate an A-class operation on signed 32-bit values."""
-    if op is Op.ADD:
-        return wrap32(lhs + rhs)
-    if op is Op.SUB:
-        return wrap32(lhs - rhs)
-    if op is Op.AND:
-        return wrap32(lhs & rhs)
-    if op is Op.OR:
-        return wrap32(lhs | rhs)
-    if op is Op.XOR:
-        return wrap32(lhs ^ rhs)
-    if op is Op.SLT:
-        return 1 if lhs < rhs else 0
-    if op is Op.SLTU:
-        return 1 if _u32(lhs) < _u32(rhs) else 0
-    if op is Op.SEQ:
-        return 1 if lhs == rhs else 0
+    if op in _R3_A:
+        return OP_VALUE[op](lhs, rhs)
     raise ValueError(f"not an ALU register op: {op}")
 
 
 def eval_shift(op, value, amount):
     """Evaluate an S-class operation; shift amounts use the low 5 bits."""
-    amount = amount & 31
-    if op is Op.SLL:
-        return wrap32(_u32(value) << amount)
-    if op is Op.SRL:
-        return wrap32(_u32(value) >> amount)
-    if op is Op.SRA:
-        return wrap32(value >> amount)
+    if op in _R3_S:
+        return OP_VALUE[op](value, amount)
     raise ValueError(f"not a shift register op: {op}")
 
 
 def eval_mul(op, lhs, rhs):
     """Evaluate an M-class operation (signed 32x32 multiply)."""
-    if op is Op.MUL:
-        return wrap32(lhs * rhs)
-    if op is Op.MULH:
-        return wrap32((lhs * rhs) >> 32)
+    if op in _R3_M:
+        return OP_VALUE[op](lhs, rhs)
     raise ValueError(f"not a multiply op: {op}")
 
 

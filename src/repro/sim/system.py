@@ -160,9 +160,13 @@ class StitchSystem:
         """Place a program on a tile; returns the core.
 
         ``cfg_table`` (or ``program.cfg_table``) attaches a patch
-        executor wired to this tile's scratchpad — and, for stitched
-        configurations, to every other tile's (the stitcher binds
-        ``remote_tile`` on the fused configs it places).
+        executor wired to this tile's scratchpad and, through
+        ``remote_memories``, to every other tile's.  A fused config's B
+        half reaches one of those only when its ``remote_tile`` is set;
+        the stitcher records the partner tile in
+        ``Assignment.remote_tile`` and the mapper builds every
+        ``FusedConfig`` with ``remote_tile=None``, so here B halves run
+        without a scratchpad (no replica is bound).
         """
         memory = self.memories[tile]
         table = cfg_table if cfg_table is not None else getattr(program, "cfg_table", None)

@@ -8,10 +8,12 @@ from repro.core import (
     AT_SA,
     CONTROL_BITS,
     PATCH_TYPES,
+    FusedConfig,
     PatchConfig,
     TMode,
     UnitConfig,
 )
+from repro.core.patches import LOCUS_SFU
 from repro.core.units import Source, UnitKind
 from repro.isa import Op
 
@@ -108,6 +110,25 @@ class TestExtSlotTracking:
         cfg = PatchConfig(AT_MA, u2=UnitConfig(Op.MUL, Source.CHAIN, Source.EXT1))
         assert cfg.ext_slots_used() == [0, 1]
 
+    def test_chain_default_read_on_in2(self):
+        # ext0 x ext2: the chain wire still carries ext0 into in2.
+        cfg = PatchConfig(AT_MA, u2=UnitConfig(Op.MUL, Source.EXT2, Source.CHAIN))
+        assert cfg.ext_slots_used() == [0, 2]
+
+    def test_first_unit_at_position_1_reads_only_its_sources(self):
+        cfg = PatchConfig(LOCUS_SFU, u1=UnitConfig(Op.MUL, Source.EXT2, Source.EXT1))
+        assert cfg.ext_slots_used() == [1, 2]
+
+    def test_fused_pair_inherits_the_b_half_slots(self):
+        cfg_a = PatchConfig(AT_AS, u0=cfg_add(Source.EXT3, Source.EXT3))
+        cfg_b = PatchConfig(AT_MA, u2=UnitConfig(Op.MUL, Source.EXT2, Source.CHAIN))
+        fused = FusedConfig(
+            cfg_a, cfg_b, b_ext=("ext1", "ext0", "a_out0", "ext0"),
+            outs=("b_out0",),
+        )
+        # B reads its slots 0 (wired to ext1) and 2 (wired to a_out0).
+        assert fused.ext_slots_used() == [1, 3]
+
 
 class TestEncoding:
     def sample_configs(self):
@@ -155,3 +176,8 @@ class TestEncoding:
     def test_decode_rejects_oversized_word(self):
         with pytest.raises(ValueError):
             PatchConfig.decode(AT_MA, 1 << CONTROL_BITS)
+
+    def test_decode_rejects_op_code_past_the_menu(self):
+        # AT-MA's position-2 multiplier offers two ops; code 3 is unused.
+        with pytest.raises(ValueError, match=r"unit 2 of AT-MA has no op code 3"):
+            PatchConfig.decode(AT_MA, 3 << 9)
