@@ -137,16 +137,6 @@ class Injector(Probe):
         """Faults whose trigger never occurred in the run (⇒ masked)."""
         return len(self.plan.faults) - self._fired
 
-    def report(self):
-        """The JSON-shaped account of this run's injection activity."""
-        return {
-            "plan": self.plan.to_dict(),
-            "events": [dict(e) for e in self.events],
-            "faults_triggered": self.triggered(),
-            "faults_untriggered": self.untriggered(),
-            "recovery_cycles": self.recovery_cycles,
-        }
-
     # -- core-side hooks -----------------------------------------------------
 
     def attach(self, core):

@@ -13,14 +13,14 @@ Timing model (validated against the paper's counts in Figure 4):
 * ``send``/``recv`` timing is delegated to the attached comm port, and
   ``recv`` blocks (without retiring) until data is available.
 
-Execution is pluggable (``engine=`` on :class:`Core`): ``auto`` selects
-the pre-decoded fast loop of :mod:`repro.cpu.engine` unless the core's
-``probe`` observes the core, and the instrumented loop — the only loop
-that fires probe hooks — when it does; ``reference`` forces the
-retained original interpreter below (:meth:`Core._run_reference`), the
-hook-free timing specification the differential tests hold both loops
-to.  All three produce identical architectural state, cycles, stall
-attribution and cache/SPM counters.
+Execution is pluggable (``engine=`` on :class:`Core`); the loops live
+in :mod:`repro.cpu.engine`.  ``auto`` selects the block engine
+(``fast``) unless the core's ``probe`` observes the core, and the
+instrumented loop — the only loop that fires probe hooks — when it
+does; ``reference`` forces the retained original interpreter below
+(:meth:`Core._run_reference`), the hook-free timing specification the
+differential tests hold both loops to.  All three produce identical
+architectural state, cycles, stall attribution and cache/SPM counters.
 """
 
 from repro.isa.instructions import (
@@ -135,7 +135,9 @@ class Core:
 
     ``probe`` (a :class:`repro.probe.Probe`) observes the core.  The
     fast and reference loops fire no hooks, so naming either for a
-    probe that observes the core is a ``ValueError``.
+    probe that observes the core is a ``ValueError``.  The fast engine
+    runs hot blocks as functions from this core's block table; one
+    holds no core and dies with the last core whose table holds it.
     """
 
     def __init__(
@@ -163,10 +165,12 @@ class Core:
                 f"observes the core; use engine='auto' or 'instrumented'"
             )
         self.engine = engine
-        # Pre-decoded execution form + resident-line memo, built lazily
-        # on first run (the reference engine never needs either).
+        # Pre-decoded execution form and the fast engine's pc-indexed
+        # tables, built on first run (the reference engine needs none).
         self._decoded = None
         self._resident = None
+        self._visits = None
+        self._blocks = None
         self.program = program
         self.memory = memory
         self.patch = patch
@@ -198,8 +202,6 @@ class Core:
         self.stall_branch = 0
         self.stall_comm = 0
         self.cix_retired = 0
-
-        self.cfg_table = getattr(program, "cfg_table", None)
 
         # The instrumented loop calls ``probe.boundary`` once the clock
         # reaches this cycle (interval sampling, fault injection); the
@@ -257,7 +259,10 @@ class Core:
         return self._run_reference(max_instructions, max_cycles)
 
     def _ensure_decoded(self):
-        """Decode (memoized on the Program) + allocate the resident memo."""
+        """Decode (memoized on the Program) + allocate the per-core tables:
+        fetched-line flags, block-entry visit countdowns (all zero when
+        the code may be evicted or the tile has no scratchpad, so the
+        core never translates) and translated blocks, all by pc."""
         decoded = self._decoded
         if decoded is None:
             from repro.isa.decoded import decode_program
@@ -267,6 +272,10 @@ class Core:
             )
             self._decoded = decoded
             self._resident = bytearray(decoded.n)
+            translates = (decoded.resident_ok
+                          and getattr(self.memory, "spm", None) is not None)
+            self._visits = bytearray(decoded.entries if translates else decoded.n)
+            self._blocks = [None] * decoded.n
         return decoded
 
     def _run_reference(self, max_instructions=None, max_cycles=None):

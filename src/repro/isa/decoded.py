@@ -17,6 +17,9 @@ pair and caches the result on the ``Program`` instance:
   access path CPython offers;
 * block-leader flags (the profiler's unit of accounting) and per-slot
   word counts ride along as metadata;
+* ``entries`` marks the pcs where the fast loop may enter a translated
+  block — every leader and every pc after a ``send``/``recv`` — with
+  the number of visits it waits before translating one;
 * ``resident_ok`` records whether the program's code footprint can ever
   be evicted from the I-cache (see :func:`code_fully_cacheable`), which
   is what licenses the engine's memoized resident-line fetch path.
@@ -79,6 +82,10 @@ K_RECV = 38
 
 FIRST_CONTROL = K_BEQ  # kinds below this are simple (fall-through) ops
 NUM_KINDS = 39
+
+#: Visits to a block entry before the fast loop translates the block:
+#: the third visit runs translated.
+TRANSLATE_VISITS = 3
 
 _OP_KIND = {
     Op.ADDI: K_ADDI, Op.LW: K_LW, Op.ADD: K_ADD, Op.SW: K_SW,
@@ -151,10 +158,14 @@ class DecodedProgram:
         True when the code footprint fits the I-cache outright (no
         eviction is ever possible), licensing the resident-line fetch
         memo.
+    ``entries``
+        per-PC visit countdowns: :data:`TRANSLATE_VISITS` at block
+        entries (leaders and the pc after each ``send``/``recv``), 0
+        elsewhere.  Each core counts down its own copy.
     """
 
     __slots__ = ("program", "ops", "code", "leaders", "n", "resident_ok",
-                 "key")
+                 "key", "entries")
 
     def __init__(self, program, ops, code, leaders, resident_ok, key):
         self.program = program
@@ -164,6 +175,12 @@ class DecodedProgram:
         self.n = len(ops)
         self.resident_ok = resident_ok
         self.key = key
+        entries = bytearray(TRANSLATE_VISITS if leader else 0
+                            for leader in leaders)
+        for pc, t in enumerate(code[:-1]):
+            if t[0] == K_SEND or t[0] == K_RECV:
+                entries[pc + 1] = TRANSLATE_VISITS
+        self.entries = bytes(entries)
 
     def __len__(self):
         return self.n

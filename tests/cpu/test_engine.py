@@ -7,6 +7,8 @@ eligibility rule, typed off-end errors, and the fast loop's deferred
 state sync across resumable slices.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.compiler.profiler import BlockProfiler
@@ -21,7 +23,10 @@ from repro.cpu import (
 from repro.isa import assemble
 from repro.isa.decoded import decode_program
 from repro.mem import MemorySystem, SPM_BASE
+from repro.platform import PlatformConfig
+from repro.probe import Probe
 from repro.profile import PCProfiler
+from repro.workloads import make_kernel
 
 LOOP = (
     "movi r1, 0\nloop: addi r1, r1, 1\nslti r2, r1, 200\n"
@@ -206,6 +211,43 @@ class TestFastLoopStateSync:
         assert fast.memory.spm.reads == ref.memory.spm.reads
         assert fast.memory.spm.writes == ref.memory.spm.writes
         assert fast.cycles == ref.cycles
+
+
+class _MissCounter(Probe):
+    """Counts the ``cache_miss`` hook by level."""
+
+    observes_core = True
+
+    def __init__(self):
+        self.misses = {"icache": 0, "dcache": 0}
+
+    def cache_miss(self, tile, level, addr, time):
+        self.misses[level] += 1
+
+
+def _memory(preset, **fields):
+    return MemorySystem(dataclasses.replace(preset().mem, **fields))
+
+
+class TestCacheMissHook:
+    """The hook fires on real misses: never on an SPM access or a
+    multi-cycle hit."""
+
+    @pytest.mark.parametrize("memory", [
+        lambda: _memory(PlatformConfig.stitch, spm_latency=2),
+        lambda: _memory(PlatformConfig.stitch, cache_hit_latency=2),
+        lambda: _memory(PlatformConfig.baseline, cache_hit_latency=2),
+    ], ids=["spm_latency=2", "cache_hit_latency=2", "baseline"])
+    def test_hook_counts_equal_cache_misses(self, memory):
+        kernel = make_kernel("fir", seed=1)
+        probe = _MissCounter()
+        core = Core(kernel.program, memory(), probe=probe)
+        kernel.setup(core)
+        assert core.run().reason == STOP_HALT
+        assert core.selected_engine() == "instrumented"
+        assert probe.misses == {"icache": core.memory.icache.misses,
+                                "dcache": core.memory.dcache.misses}
+        assert core.stall_memory + core.stall_icache > 0
 
 
 class TestSystemThreading:

@@ -2,9 +2,12 @@
 
 Hypothesis generates random straight-line bodies and counted loops
 over the scalar ISA (ALU, shifts, SPM loads/stores) and asserts the
-pre-decoded fast loop finishes in *exactly* the reference
-interpreter's state — registers, cycles, instret, every stall bucket,
-and the cache/SPM counters.  The fixed-kernel suite in
+block engine finishes in *exactly* the reference interpreter's state —
+registers, cycles, instret, every stall bucket, and the cache/SPM
+counters.  Loops of three or more trips run translated blocks, so they
+are also stopped at every instruction of a translated trip, and run
+with loads and stores that stray outside the SPM window or off word
+alignment.  The fixed-kernel suite in
 ``tests/cpu/test_engine_differential.py`` covers realistic programs;
 this one hunts the weird corners (unwrapped MOVI values feeding
 shifts, r0 writes, back-to-back taken branches) the kernels never
@@ -18,6 +21,9 @@ from repro.isa import assemble
 from repro.mem import MemorySystem, SPM_BASE
 
 i32 = st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1)
+#: Initial register values: a harness may also leave one unwrapped.
+reg_value = st.one_of(i32, st.integers(min_value=1 << 31,
+                                       max_value=(1 << 32) - 1))
 imm12 = st.integers(min_value=-2048, max_value=2047)
 # r14 is reserved as the SPM base pointer; r15 is the jal link register.
 reg = st.integers(min_value=0, max_value=13)
@@ -62,8 +68,32 @@ def instruction(draw, dest=reg):
 #: loop-carried.
 loop_safe = instruction(dest=st.integers(min_value=0, max_value=11))
 
+#: A load or store whose offset may leave the SPM window (into DRAM,
+#: below it) or word alignment.
+stray_offset = st.one_of(
+    spm_offset,
+    st.integers(min_value=-64, max_value=-1).map(lambda i: i * 4),
+    st.integers(min_value=0, max_value=63).map(lambda i: i * 4 + 2),
+)
+stray_access = st.builds(
+    lambda op, rd, offset: f"{op} r{rd}, {offset}(r14)",
+    st.sampled_from(("lw", "sw")),
+    st.integers(min_value=0, max_value=11),
+    stray_offset,
+)
 
-def run_both(source, init_regs, spm_words):
+
+def counted_loop(body, trips):
+    # r12/r13 carry the trip count (loop bodies never write them), so
+    # the loop always terminates.
+    return "\n".join(
+        ["movi r12, 0", f"movi r13, {trips}", "loop:"]
+        + body
+        + ["addi r12, r12, 1", "bne r12, r13, loop", "halt"]
+    )
+
+
+def run_both(source, init_regs, spm_words, max_instructions=200_000):
     states = []
     for engine in ("reference", "fast"):
         memory = MemorySystem.stitch()
@@ -72,9 +102,12 @@ def run_both(source, init_regs, spm_words):
         for index, value in enumerate(init_regs, start=1):
             core.regs[index] = value
         core.regs[14] = SPM_BASE
-        outcome = core.run(max_instructions=200_000)
+        try:
+            outcome = core.run(max_instructions=max_instructions).reason
+        except ValueError as exc:  # an unaligned access
+            outcome = str(exc)
         states.append({
-            "reason": outcome.reason,
+            "reason": outcome,
             "regs": list(core.regs),
             "pc": core.pc,
             "cycles": core.cycles,
@@ -83,6 +116,7 @@ def run_both(source, init_regs, spm_words):
                        core.stall_branch, core.stall_comm),
             "icache": (memory.icache.hits, memory.icache.misses),
             "dcache": (memory.dcache.hits, memory.dcache.misses),
+            "dram": dict(memory.dram._words),
             "spm": (memory.spm.reads, memory.spm.writes,
                     list(memory.spm._words)),
         })
@@ -93,7 +127,7 @@ class TestFastVsReference:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(instruction(), min_size=1, max_size=40),
-        st.lists(i32, min_size=13, max_size=13),
+        st.lists(reg_value, min_size=13, max_size=13),
         st.lists(i32, min_size=16, max_size=16),
     )
     def test_straight_line(self, body, init_regs, spm_words):
@@ -105,18 +139,44 @@ class TestFastVsReference:
     @given(
         st.lists(loop_safe, min_size=1, max_size=12),
         st.integers(min_value=1, max_value=50),
-        st.lists(i32, min_size=13, max_size=13),
+        st.lists(reg_value, min_size=13, max_size=13),
         st.lists(i32, min_size=16, max_size=16),
     )
     def test_counted_loop(self, body, trips, init_regs, spm_words):
-        # r12/r13 carry the trip count (loop bodies never write them),
-        # so the loop always terminates.
-        source = "\n".join(
-            ["movi r12, 0", f"movi r13, {trips}", "loop:"]
-            + body
-            + ["addi r12, r12, 1", "bne r12, r13, loop", "halt"]
-        )
-        reference, fast = run_both(source, init_regs, spm_words)
+        reference, fast = run_both(counted_loop(body, trips), init_regs,
+                                   spm_words)
+        assert fast == reference
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(loop_safe, min_size=1, max_size=10),
+        st.integers(min_value=3, max_value=6),
+        st.lists(reg_value, min_size=13, max_size=13),
+        st.lists(i32, min_size=16, max_size=16),
+    )
+    def test_limit_stop_inside_translated_loop(self, body, trips, init_regs,
+                                               spm_words):
+        # The third trip is the first translated one: stop at every
+        # instruction from the second trip's end to the fourth's.
+        source = counted_loop(body, trips)
+        trip = len(body) + 2
+        for stop in range(2 + 2 * trip, 3 + 4 * trip):
+            reference, fast = run_both(source, init_regs, spm_words,
+                                       max_instructions=stop)
+            assert fast == reference, f"stopped after {stop}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.one_of(loop_safe, stray_access), min_size=1,
+                 max_size=10),
+        st.integers(min_value=3, max_value=12),
+        st.lists(reg_value, min_size=13, max_size=13),
+        st.lists(i32, min_size=16, max_size=16),
+    )
+    def test_stray_accesses_in_translated_loop(self, body, trips,
+                                               init_regs, spm_words):
+        reference, fast = run_both(counted_loop(body, trips), init_regs,
+                                   spm_words)
         assert fast == reference
 
     @settings(max_examples=20, deadline=None)
