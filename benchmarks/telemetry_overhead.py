@@ -4,8 +4,8 @@ The telemetry layer promises a near-zero-cost disabled path: cores,
 NoC and fabric hold the null probe, so the fast loop fires no hook and
 the fabric pays one guard per hook site.  This script measures a fixed
 co-simulation workload with no probe and with each probe in
-:data:`ARMS`, and fails — exit code 1 — if either side of that promise
-breaks for any arm:
+:data:`ARMS`, in interleaved rounds, and fails — exit code 1 — if
+either side of that promise breaks for any arm:
 
 * the *disabled* path must not be slower than the arm beyond
   measurement noise (>5% means dead observer work leaked into the null
@@ -137,14 +137,26 @@ ARMS = [
 ]
 
 
-def measure(repeats, probe_factory):
-    times = []
-    for _ in range(repeats):
-        probe = probe_factory()
-        start = time.perf_counter()
-        run_once(probe)
-        times.append(time.perf_counter() - start)
-    return sorted(times)[len(times) // 2]  # median
+def time_once(probe_factory):
+    probe = probe_factory()
+    start = time.perf_counter()
+    run_once(probe)
+    return time.perf_counter() - start
+
+
+def measure(repeats, factories):
+    """Median time of each factory's run over ``repeats`` rounds.
+
+    Each round runs every factory once, starting one later each round,
+    so host drift spreads over all of them instead of reading as one
+    arm's regression.
+    """
+    times = [[] for _ in factories]
+    for round_ in range(repeats):
+        for step in range(len(factories)):
+            index = (round_ + step) % len(factories)
+            times[index].append(time_once(factories[index]))
+    return [sorted(each)[len(each) // 2] for each in times]  # medians
 
 
 def main(argv=None):
@@ -155,12 +167,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     run_once(None)  # warm caches / imports outside the timed region
-    disabled = measure(args.repeats, lambda: None)
+    disabled, *observed_times = measure(
+        args.repeats, [lambda: None] + [factory for _, factory in ARMS])
     print(f"telemetry disabled: {disabled * 1e3:8.2f} ms (median of "
           f"{args.repeats})")
     failed = False
-    for label, factory in ARMS:
-        observed = measure(args.repeats, factory)
+    for (label, _), observed in zip(ARMS, observed_times):
         print(f"{label}: {observed * 1e3:8.2f} ms "
               f"(x{observed / disabled:.2f} vs disabled)")
         if disabled > observed * DISABLED_REGRESSION_LIMIT:

@@ -3,7 +3,7 @@
 The chaos layer perturbs a run the way the telemetry layer observes
 one: the :class:`Injector` is a :class:`~repro.probe.Probe`, passed as
 (or combined into) a system's ``telemetry=`` probe.  An armed injector
-observes the core, so ``engine="auto"`` runs the instrumented loop.
+observes the core, so ``engine="auto"`` runs the hooked block engine.
 
 * :mod:`repro.chaos.plan` — :class:`InjectionPlan`: the frozen,
   JSON-round-trippable description of what to break (site, trigger,

@@ -1,9 +1,9 @@
 """The fault injector: the chaos layer's :class:`~repro.probe.Probe`.
 
 An injector with faults to apply (``armed``) observes the core, so
-``engine="auto"`` runs its cores on the instrumented loop, whose
-``boundary`` and ``cix`` hooks apply the core-site faults; the fast
-loop carries no hooks and stays untouched, so the clean path keeps its
+``engine="auto"`` runs its cores on the hooked block engine, whose
+``boundary`` and ``cix`` hooks apply the core-site faults; the
+hook-free instantiation stays untouched, so the clean path keeps its
 speed.  The fabric calls ``link_delay``/``outbound``/``inbound`` on
 an enabled probe, and the scheduler reports deadlocks and watchdog
 expiries through ``deadlock``/``recv_timeout``.  An unarmed injector

@@ -13,14 +13,16 @@ Timing model (validated against the paper's counts in Figure 4):
 * ``send``/``recv`` timing is delegated to the attached comm port, and
   ``recv`` blocks (without retiring) until data is available.
 
-Execution is pluggable (``engine=`` on :class:`Core`); the loops live
-in :mod:`repro.cpu.engine`.  ``auto`` selects the block engine
-(``fast``) unless the core's ``probe`` observes the core, and the
-instrumented loop — the only loop that fires probe hooks — when it
-does; ``reference`` forces the retained original interpreter below
+Execution is pluggable (``engine=`` on :class:`Core`); the block
+engine lives in :mod:`repro.cpu.engine`, generated twice.  ``auto``
+selects its hook-free instantiation (``fast``) unless the core's
+``probe`` observes the core, and its hooked one (``instrumented``) —
+the only loop that fires the core's probe hooks — when it does;
+``reference`` forces the retained original interpreter below
 (:meth:`Core._run_reference`), the hook-free timing specification the
-differential tests hold both loops to.  All three produce identical
-architectural state, cycles, stall attribution and cache/SPM counters.
+differential tests hold both instantiations to.  All three produce
+identical architectural state, cycles, stall attribution and
+cache/SPM counters.
 """
 
 from repro.isa.instructions import (
@@ -31,7 +33,7 @@ from repro.isa.instructions import (
     wrap32,
 )
 from repro.platform import DEFAULT_PLATFORM
-from repro.probe import NULL_PROBE
+from repro.probe import NULL_PROBE, overrides
 from repro.telemetry.rollup import ATTRIBUTION_BUCKETS  # noqa: F401 (re-export)
 
 STOP_HALT = "halt"
@@ -39,10 +41,10 @@ STOP_LIMIT = "limit"
 STOP_RECV = "recv"
 STOP_FROZEN = "frozen"
 
-#: Engine names accepted by :class:`Core`.  ``auto`` picks the fast
-#: loop unless the probe observes the core, and the instrumented loop
-#: when it does; ``reference`` forces the retained original interpreter
-#: (the differential-testing oracle).
+#: Engine names accepted by :class:`Core`.  ``auto`` picks the
+#: hook-free block engine unless the probe observes the core, and the
+#: hooked one (``instrumented``) when it does; ``reference`` forces the
+#: retained original interpreter (the differential-testing oracle).
 ENGINES = ("auto", "fast", "instrumented", "reference")
 
 # Immediate-form -> base-op folds, hoisted out of the hot loop (the
@@ -135,9 +137,11 @@ class Core:
 
     ``probe`` (a :class:`repro.probe.Probe`) observes the core.  The
     fast and reference loops fire no hooks, so naming either for a
-    probe that observes the core is a ``ValueError``.  The fast engine
-    runs hot blocks as functions from this core's block table; one
-    holds no core and dies with the last core whose table holds it.
+    probe that observes the core is a ``ValueError``.  Both block
+    engines run hot blocks as functions from this core's block table;
+    one holds no core and dies with the last core whose table holds
+    it.  A probe that overrides ``retire`` or ``mem_access`` sees every
+    instruction, so its core translates no block.
     """
 
     def __init__(
@@ -203,9 +207,9 @@ class Core:
         self.stall_comm = 0
         self.cix_retired = 0
 
-        # The instrumented loop calls ``probe.boundary`` once the clock
+        # The hooked engine calls ``probe.boundary`` once the clock
         # reaches this cycle (interval sampling, fault injection); the
-        # null probe pins it at +inf, one comparison per instruction.
+        # null probe pins it at +inf.
         self.probe = probe
         self._boundary = probe.attach(self)
 
@@ -253,16 +257,15 @@ class Core:
         if mode == "fast":
             return engine_mod.run_fast(self, max_instructions, max_cycles)
         if mode == "instrumented":
-            return engine_mod.run_instrumented(
-                self, max_instructions, max_cycles
-            )
+            return engine_mod.run_hooked(self, max_instructions, max_cycles)
         return self._run_reference(max_instructions, max_cycles)
 
     def _ensure_decoded(self):
         """Decode (memoized on the Program) + allocate the per-core tables:
         fetched-line flags, block-entry visit countdowns (all zero when
-        the code may be evicted or the tile has no scratchpad, so the
-        core never translates) and translated blocks, all by pc."""
+        the code may be evicted, the tile has no scratchpad or the
+        probe has a per-instruction hook, so the core never translates)
+        and translated blocks, all by pc."""
         decoded = self._decoded
         if decoded is None:
             from repro.isa.decoded import decode_program
@@ -273,7 +276,9 @@ class Core:
             self._decoded = decoded
             self._resident = bytearray(decoded.n)
             translates = (decoded.resident_ok
-                          and getattr(self.memory, "spm", None) is not None)
+                          and getattr(self.memory, "spm", None) is not None
+                          and not overrides(self.probe, "retire")
+                          and not overrides(self.probe, "mem_access"))
             self._visits = bytearray(decoded.entries if translates else decoded.n)
             self._blocks = [None] * decoded.n
         return decoded
@@ -282,7 +287,7 @@ class Core:
         """The retained original interpreter (re-decodes per retire).
 
         Kept as the executable specification of the timing model: the
-        dispatch engines in :mod:`repro.cpu.engine` are held
+        block engines in :mod:`repro.cpu.engine` are held
         bit-identical to this loop by the differential suite
         (``tests/cpu/test_engine_differential.py``).  It calls no
         observer.  Select it with ``Core(..., engine="reference")``.

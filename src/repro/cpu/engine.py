@@ -1,61 +1,68 @@
-"""Execution engines over pre-decoded programs.
+"""The block engine over pre-decoded programs, in two instantiations.
 
-Two entry loops share the decode pass of :mod:`repro.isa.decoded` and
-the architectural/timing semantics of the reference interpreter
-(``Core._run_reference``), which fires no hooks.  Both take each op's
-semantics from one table of per-kind source templates (:data:`_VALUES`,
-:data:`_CONDITIONS`), so each op is defined once:
+One generated loop runs every engine but ``reference`` (the hook-free
+``Core._run_reference``).  It is generated twice from one template
+(:data:`_RUN_FAST`) and one block translator (:func:`_generate`), and
+takes each op's semantics from one table of per-kind source templates
+(:data:`_VALUES`, :data:`_CONDITIONS`), so each op is defined once:
 
-* :func:`run_instrumented` — dispatches through :data:`HANDLERS` (one
-  small function per op family) and is the one loop that fires the
-  core's probe hooks (:mod:`repro.probe`): the boundary hook when the
-  clock reaches ``core._boundary``, cache misses, ``cix``, the comm
-  trio, and — only when the probe overrides them — the per-instruction
-  ``retire`` and ``mem_access`` hooks.
-* :func:`run_fast` — the block engine, selected when the probe does
-  not observe the core.  It fires no hook and keeps architectural and
-  timing state in locals.  On the third visit to a block entry (a
-  leader, or the pc after a ``send``/``recv``) whose lines are all
-  resident on the core, it translates the block up to its closing
-  branch or jump into one Python function: registers, immediates and
-  aligned SPM-window loads and stores inlined, each exit one constant
-  tuple of deltas (next pc, cycles, instret, stall buckets, I-cache hit
-  words, SPM reads and writes, ``cix`` count).  Everything else runs on
-  the cold step, a frequency-ordered ladder over dense integer kinds:
-  first visits, blocks under three instructions,
-  ``send``/``recv``/``jr``/``halt``, a block that would cross the
-  instruction limit, any cycle limit, accesses outside the SPM window,
-  and tiles whose code may be evicted or that have no scratchpad.  The
-  cold step keeps two memoized paths:
+* :func:`run_fast` — engine ``fast``, selected when the probe does not
+  observe the core.  It fires no hook.
+* :func:`run_hooked` — engine ``instrumented``, selected when it does.
+  The template's lines tagged ``# hooked`` exist only here.  They fire
+  the core's probe hooks (:mod:`repro.probe`) where the reference
+  interpreter's timing puts them, with its arguments: ``boundary``
+  before the first instruction whose start cycle reaches
+  ``core._boundary``; ``cix`` before each custom instruction, also
+  from inside translated blocks; ``cache_miss`` and the comm trio from
+  the cold step; and — only when the probe overrides them, which turns
+  translation off — the per-instruction ``retire`` and ``mem_access``
+  hooks.  The core's counters are written back before ``boundary`` and
+  before the fabric is entered, whose hooks read them.
 
-  - **resident-line fetch**: when the program's code footprint fits the
-    I-cache outright (``DecodedProgram.resident_ok``), a per-PC flag
-    marks slots whose lines have been fetched once; marked slots charge
-    the pre-computed all-hit cost without touching the cache model.
-    Hit counters are accumulated locally and flushed on exit, so cache
-    statistics stay bit-identical to the reference.
-  - **SPM direct access**: aligned loads/stores inside the scratchpad
-    window index the backing word list directly; anything else falls
-    back to ``MemorySystem.read``/``write`` (same errors, same timing).
+Both keep architectural and timing state in locals.  On the third
+visit to a block entry (a leader, or the pc after a ``send``/``recv``)
+whose lines are all resident on the core, the engine translates the
+block up to its closing branch or jump into one Python function:
+registers, immediates and aligned SPM-window loads and stores inlined,
+each exit one constant tuple of deltas (next pc, cycles, instret, stall
+buckets, I-cache hit words, SPM reads and writes, ``cix`` count).
+Everything else runs on the cold step, a frequency-ordered ladder over
+dense integer kinds: first visits, blocks under three instructions,
+``send``/``recv``/``jr``/``halt``, a block that would cross the
+instruction limit (or, hooked, the boundary cycle), any cycle limit,
+accesses outside the SPM window, and tiles whose code may be evicted or
+that have no scratchpad.  The cold step keeps two memoized paths:
 
-  Translations are shared: a module-level weak dictionary keys each by
-  everything its code depends on, and each core's pc-indexed block
-  table holds its own strongly, so tiles running identical blocks share
-  one and none outlives its last core.  A translation captures no core,
-  memory or patch: the slice passes in the register list, the SPM words
-  and the patch's ``execute``.
+- **resident-line fetch**: when the program's code footprint fits the
+  I-cache outright (``DecodedProgram.resident_ok``), a per-PC flag
+  marks slots whose lines have been fetched once; marked slots charge
+  the pre-computed all-hit cost without touching the cache model, and
+  can never miss.  Hit counters are accumulated locally and flushed on
+  exit, so cache statistics stay bit-identical to the reference.
+- **SPM direct access**: aligned loads/stores inside the scratchpad
+  window index the backing word list directly; anything else falls
+  back to ``MemorySystem.read``/``write`` (same errors, same timing).
 
-Both loops are resumable and idempotent: the fast loop syncs its locals
-back to the core in a ``finally`` block, so limit stops, blocking
-receives and even exceptions — a ``cix`` raising inside a block
-included — leave the core in exactly the state the reference
-interpreter would.
+Translations are shared: a module-level weak dictionary keys each by
+everything its code depends on, hooked ones apart, and each core's
+pc-indexed block table holds its own strongly, so tiles running
+identical blocks share one and none outlives its last core.  A
+translation captures no core, memory, probe or patch: the slice passes
+in the register list, the SPM words, the patch's ``execute`` and,
+hooked, the tile's ``cix`` hook and the entry cycle.
+
+The loops are resumable and idempotent: they sync their locals back to
+the core in a ``finally`` block, so limit stops, blocking receives and
+even exceptions — a ``cix`` or its hook raising inside a block included
+— leave the core in exactly the state the reference interpreter would.
 """
 
 import linecache
-import math  # noqa: F401 (used by the generated run_fast)
+import math  # noqa: F401 (used by the generated loops)
 import textwrap
 import weakref
+from functools import partial  # noqa: F401 (used by run_hooked)
 
 from repro.cpu.core import (
     ExecutionError,
@@ -106,27 +113,21 @@ from repro.isa.decoded import (
     K_SW,
     K_XOR,
     K_XORI,
-    NUM_KINDS,
 )
-from repro.isa.instructions import wrap32
-from repro.probe import overrides
-
-_MASK32 = 0xFFFFFFFF
+from repro.probe import overrides  # noqa: F401 (used by run_hooked)
 
 
 # -- per-kind source templates ----------------------------------------------
 #
-# One definition of each op, instantiated three times: into the
-# instrumented loop's handlers (operands read from the ``ExecOp``), into
-# the cold step's ladder inside :func:`run_fast` (operands read from
-# the code tuple ``t``) and into every translated block (operands
-# inlined as literals).  ``a``/``b`` read source registers, ``i`` is an
-# immediate.
+# One definition of each op, instantiated into the cold step's ladder
+# (operands read from the code tuple ``t``) and into every translated
+# block (operands inlined as literals).  ``a``/``b`` read source
+# registers, ``i`` is an immediate.
 
 _WRAP = "(({}) + 2147483648 & 4294967295) - 2147483648"  # == wrap32(...)
 _FLAG = "(1 if {} else 0)"
 
-# Code-tuple slots of each template operand (see ``_fast_tuple`` in
+# Code-tuple slots of each template operand (see ``_code_tuple`` in
 # :mod:`repro.isa.decoded`).
 _R3 = (("a", 4), ("b", 5))
 _RI = (("a", 4), ("i", 5))
@@ -180,203 +181,15 @@ def _fill(slots, template, operand):
     return template.format(**{name: operand(slot, name) for name, slot in slots})
 
 
-# -- handler table (instrumented loop) --------------------------------------
-#
-# One small function per op family, ``handler(core, ex, regs) -> extra
-# cycles beyond the fetch cost``.  Control flow, halt and the comm pair
-# are not in the table: they steer the loop (next pc, retire-without-
-# regs[0]-reset), so the instrumented loop keeps them inline, exactly
-# like the reference interpreter.  The value ops are generated from
-# :data:`_VALUES`.
-
-def _h_lw(core, ex, regs):
-    addr = (regs[ex.ra] + ex.imm) & _MASK32
-    misses = core.memory.dcache.misses
-    value, mem_cycles = core.memory.read(addr)
-    if ex.rd != 0:
-        regs[ex.rd] = value
-    extra = mem_cycles - 1
-    if extra > 0:
-        core.stall_memory += extra
-        # Not for an SPM access or a multi-cycle hit.
-        if core.memory.dcache.misses != misses:
-            core.probe.cache_miss(core.core_id, "dcache", addr, core.cycles)
-    return extra
-
-
-def _h_sw(core, ex, regs):
-    addr = (regs[ex.ra] + ex.imm) & _MASK32
-    misses = core.memory.dcache.misses
-    mem_cycles = core.memory.write(addr, regs[ex.rd])
-    extra = mem_cycles - 1
-    if extra > 0:
-        core.stall_memory += extra
-        if core.memory.dcache.misses != misses:
-            core.probe.cache_miss(core.core_id, "dcache", addr, core.cycles)
-    return extra
-
-
-def _h_cix(core, ex, regs):
-    core.cix_retired += 1
-    core.probe.cix(core.core_id, ex.cfg, core.cycles)
-    outs = core._execute_cix(ex)
-    for reg, value in zip(ex.outs, outs):
-        if reg != 0:
-            regs[reg] = wrap32(value)
-    return 0
-
-
-def _generated_handlers():
-    """A handler per op in :data:`_VALUES` and a ``taken(a, b)`` test
-    per branch in :data:`_CONDITIONS`, both indexed by kind."""
-    def operand(slot, name):
-        return "ex.imm" if name == "i" else f"regs[ex.r{name}]"
-
-    source = "".join(
-        f"def h{kind}(core, ex, regs):\n"
-        f"    if ex.rd != 0:\n"
-        f"        regs[ex.rd] = {form.format(_fill(slots, value, operand))}\n"
-        f"    return 0\n"
-        for kind, (slots, value, form) in _VALUES.items()
-    ) + "".join(
-        f"def t{kind}(a, b):\n    return {condition.format(a='a', b='b')}\n"
-        for kind, condition in _CONDITIONS.items()
-    )
-    namespace = {}
-    exec(compile(source, f"<{__name__} handlers>", "exec"), {}, namespace)
-    handlers = [namespace.get(f"h{kind}") for kind in range(NUM_KINDS)]
-    taken = [namespace.get(f"t{kind}") for kind in range(NUM_KINDS)]
-    return handlers, taken
-
-
-HANDLERS, _TAKEN_IF = _generated_handlers()
-HANDLERS[K_LW] = _h_lw
-HANDLERS[K_SW] = _h_sw
-HANDLERS[K_CIX] = _h_cix
-HANDLERS[K_NOP] = lambda core, ex, regs: 0
-
-
-# -- instrumented loop ------------------------------------------------------
-
-def run_instrumented(core, max_instructions=None, max_cycles=None):
-    """Pre-decoded loop that fires the core's probe hooks.
-
-    Identical timing to ``Core._run_reference`` — same limit checks,
-    same state update order — with the per-retire decode replaced by an
-    :class:`ExecOp` slot lookup, the value-op ladder by the
-    :data:`HANDLERS` table and the branch tests by ``_TAKEN_IF``.
-    """
-    decoded = core._ensure_decoded()
-    ops = decoded.ops
-    n = decoded.n
-    regs = core.regs
-    memory = core.memory
-    fetch = memory.fetch
-    penalty = core.taken_branch_penalty
-    probe = core.probe
-    # Per-instruction hooks are looked up once, and skipped entirely
-    # for probes that leave them as no-ops.
-    retire = probe.retire if overrides(probe, "retire") else None
-    mem_access = probe.mem_access if overrides(probe, "mem_access") else None
-    boundary = core._boundary
-    start_instret = core.instret
-    handlers = HANDLERS
-    taken_if = _TAKEN_IF
-
-    while not core.halted:
-        if (max_instructions is not None
-                and core.instret - start_instret >= max_instructions):
-            return RunResult(STOP_LIMIT, core.cycles, core.instret)
-        if max_cycles is not None and core.cycles >= max_cycles:
-            return RunResult(STOP_LIMIT, core.cycles, core.instret)
-        if core.cycles >= boundary:
-            boundary = core._boundary = probe.boundary(core)
-            if core.frozen:
-                return RunResult(STOP_FROZEN, core.cycles, core.instret)
-        pc = core.pc
-        if not 0 <= pc < n:
-            raise ExecutionError(core.core_id, core.program.name, pc)
-        ex = ops[pc]
-        kind = ex.kind
-
-        cost = fetch(pc, ex.words) - (ex.words - 1)
-        if cost != 1:
-            core.stall_icache += cost - 1
-            # A miss costs the DRAM latency (>= 1) over the all-hit
-            # cost; a multi-cycle hit does not.
-            if cost != ex.resident_cost:
-                probe.cache_miss(core.core_id, "icache", pc, core.cycles)
-        next_pc = pc + 1
-
-        if kind < FIRST_CONTROL:
-            if mem_access is not None and (kind == K_LW or kind == K_SW):
-                mem_access(core, pc, (regs[ex.ra] + ex.imm) & _MASK32)
-            cost += handlers[kind](core, ex, regs)
-        elif kind <= K_BGEU:
-            if taken_if[kind](regs[ex.ra], regs[ex.rb]):
-                next_pc = ex.target
-                cost += penalty
-                core.stall_branch += penalty
-        elif kind == K_JMP or kind == K_JAL:
-            if kind == K_JAL:
-                regs[15] = pc + 1
-            next_pc = ex.target
-            cost += penalty
-            core.stall_branch += penalty
-        elif kind == K_JR:
-            next_pc = regs[ex.ra]
-            cost += penalty
-            core.stall_branch += penalty
-        elif kind == K_HALT:
-            core.halted = True
-        elif kind == K_SEND:
-            peer = regs[ex.ra]
-            base = regs[ex.rb]
-            count = regs[ex.rd]
-            values = memory.dump(base, count)  # NIC DMA bypasses the cache
-            start = core.cycles
-            finish = core.comm.send(peer, values, start)
-            core.cycles = finish
-            core.stall_comm += finish - start - 1  # 1 = the issue slot
-            probe.comm_send(core.core_id, peer, count, start, finish)
-            if retire is not None:
-                retire(core, pc, finish - start)
-            core.pc = next_pc
-            core.instret += 1
-            continue
-        elif kind == K_RECV:
-            peer = regs[ex.ra]
-            base = regs[ex.rb]
-            count = regs[ex.rd]
-            result = core.comm.try_recv(peer, count, core.cycles)
-            if result is None:
-                probe.comm_blocked(core.core_id, peer, count, core.cycles)
-                return RunResult(STOP_RECV, core.cycles, core.instret)
-            values, finish = result
-            memory.load(base, values)  # NIC DMA bypasses the cache
-            start = core.cycles
-            core.cycles = finish
-            core.stall_comm += finish - start - 1  # 1 = the issue slot
-            probe.comm_recv(core.core_id, peer, count, start, finish)
-            if retire is not None:
-                retire(core, pc, finish - start)
-            core.pc = next_pc
-            core.instret += 1
-            continue
-        else:  # pragma: no cover - all kinds handled above
-            raise NotImplementedError(f"kind {kind}")
-
-        regs[0] = 0
-        core.cycles += cost
-        core.instret += 1
-        core.pc = next_pc
-        if retire is not None:
-            retire(core, pc, cost)
-
-    return RunResult(STOP_HALT, core.cycles, core.instret)
-
-
 # -- the cold step ----------------------------------------------------------
+#
+# A line ending in ``# hooked`` exists only in :func:`run_hooked`.  The
+# hooked cold step also resets r0 after each instruction but a
+# send/recv, as the reference does: a ``boundary`` hook may flip it,
+# and the next instruction reads the flipped value.
+
+_HOOKED = "  # hooked"
+
 
 def _cold_operand(slot, name):
     return f"t[{slot}]" if name == "i" else f"regs[t[{slot}]]"
@@ -386,20 +199,54 @@ _TAKEN = """\
 stall_branch += penalty
 cycles += cost + penalty
 instret += 1
+if retire is not None:  # hooked
+    retire(core, pc, cost + penalty)  # hooked
 pc = {}
+regs[0] = 0  # hooked
 continue"""
 
 _SPM_ACCESS = """\
 addr = regs[t[4]] + t[5] & 4294967295
+if mem_access is not None:  # hooked
+    mem_access(core, pc, addr)  # hooked
 if spm_base <= addr < spm_end and not addr & 3:
     {spm}
     cost += spm_extra
     stall_memory += spm_stall
 else:
+    misses = memory.dcache.misses  # hooked
     {checked}
     cost += mem_cycles - 1
     if mem_cycles > 1:
-        stall_memory += mem_cycles - 1"""
+        stall_memory += mem_cycles - 1
+        if memory.dcache.misses != misses:  # hooked
+            probe.cache_miss(tile, "dcache", addr, cycles)  # hooked"""
+
+#: Every local and deferred counter written back to the core.
+_WRITE_BACK = """\
+core.pc = pc
+core.cycles = cycles
+core.instret = instret
+core.stall_memory = stall_memory
+core.stall_icache = stall_icache
+core.stall_branch = stall_branch
+core.stall_comm = stall_comm
+if cix_retired:
+    core.cix_retired += cix_retired
+if hit_words:
+    memory.icache.hits += hit_words
+if spm_reads:
+    spm.reads += spm_reads
+if spm_writes:
+    spm.writes += spm_writes"""
+
+#: The hooked write-back before a hook that may read the core's
+#: counters (``boundary``, and the fabric's inside a send or receive).
+_SYNC = "\n".join(
+    line + _HOOKED for line in (
+        _WRITE_BACK + "\nhit_words = spm_reads = spm_writes = cix_retired = 0"
+    ).splitlines()
+)
 
 #: The cold step's arms for kinds outside the two tables above.
 _COLD_ARMS = {
@@ -412,10 +259,10 @@ _COLD_ARMS = {
             + _WRAP.format("regs[t[3]]") + "\n    spm_writes += 1",
         checked="mem_cycles = write(addr, regs[t[3]])",
     ),
-    K_CIX: "cix_retired += 1\n" + _CIX.format(
-        outs="t[4]", call="execute(t[3], [regs[r] for r in t[5]])",
-        regs="regs",
-    ),
+    K_CIX: "cix_retired += 1\non_cix(t[3], cycles)" + _HOOKED + "\n"
+        + _CIX.format(outs="t[4]",
+                      call="execute(t[3], [regs[r] for r in t[5]])",
+                      regs="regs"),
     K_NOP: "pass",
     K_JMP: _TAKEN.format("t[3]"),
     K_JAL: "regs[15] = pc + 1\n" + _TAKEN.format("t[3]"),
@@ -424,22 +271,33 @@ _COLD_ARMS = {
 core.halted = True
 cycles += cost
 instret += 1
+if retire is not None:  # hooked
+    retire(core, pc, cost)  # hooked
+regs[0] = 0  # hooked
 pc += 1
 return RunResult(STOP_HALT, cycles, instret)""",
     K_SEND: """\
 values = memory.dump(regs[t[5]], regs[t[3]])  # NIC DMA, cache bypass
+""" + _SYNC + """
 finish = comm.send(regs[t[4]], values, cycles)
+probe.comm_send(tile, regs[t[4]], regs[t[3]], cycles, finish)  # hooked
+if retire is not None:  # hooked
+    retire(core, pc, finish - cycles)  # hooked
 stall_comm += finish - cycles - 1  # 1 = the issue slot
 cycles = finish
 instret += 1
 pc += 1
 continue""",
-    K_RECV: """\
+    K_RECV: _SYNC + """
 result = comm.try_recv(regs[t[4]], regs[t[3]], cycles)
 if result is None:
+    probe.comm_blocked(tile, regs[t[4]], regs[t[3]], cycles)  # hooked
     return RunResult(STOP_RECV, cycles, instret)
 values, finish = result
 memory.load(regs[t[5]], values)  # NIC DMA, cache bypass
+probe.comm_recv(tile, regs[t[4]], regs[t[3]], cycles, finish)  # hooked
+if retire is not None:  # hooked
+    retire(core, pc, finish - cycles)  # hooked
 stall_comm += finish - cycles - 1  # 1 = the issue slot
 cycles = finish
 instret += 1
@@ -496,14 +354,8 @@ spm_writes += dw
 cix_retired += dx"""
 
 _RUN_FAST = '''\
-def run_fast(core, max_instructions=None, max_cycles=None):
-    """Hook-free block engine: translated blocks, then a cold step.
-
-    Fires no probe hook (``Core`` refuses ``engine="fast"`` for a probe
-    that observes the core).  Produces bit-identical architectural
-    state, cycles, stall attribution and cache/SPM counters to the
-    reference interpreter; the differential suites in ``tests/cpu``
-    and ``tests/property`` hold it to that.
+def {name}(core, max_instructions=None, max_cycles=None):
+    """{doc}
     """
     if core.halted:
         return RunResult(STOP_HALT, core.cycles, core.instret)
@@ -522,6 +374,13 @@ def run_fast(core, max_instructions=None, max_cycles=None):
     comm = core.comm
     execute = _cix_entry(core)
     penalty = core.taken_branch_penalty
+    probe = core.probe  # hooked
+    tile = core.core_id  # hooked
+    boundary = core._boundary  # hooked
+    on_cix = partial(probe.cix, tile)  # hooked
+    retire = probe.retire if overrides(probe, "retire") else None  # hooked
+    mem_access = (probe.mem_access  # hooked
+                  if overrides(probe, "mem_access") else None)  # hooked
 
     spm = getattr(memory, "spm", None)
     if spm is not None:
@@ -531,6 +390,7 @@ def run_fast(core, max_instructions=None, max_cycles=None):
     spm_extra = spm_latency - 1
     spm_stall = max(spm_extra, 0)
     shape = (penalty, spm_extra, spm_base, spm_end)
+    shape += (True,)  # hooked translations are keyed apart  # hooked
 
     pc = core.pc
     cycles = core.cycles
@@ -557,11 +417,17 @@ def run_fast(core, max_instructions=None, max_cycles=None):
         while True:
             if instret >= stop_instret or cycles >= stop_cycles:
                 return RunResult(STOP_LIMIT, cycles, instret)
+            if cycles >= boundary:  # hooked
+{sync}
+                boundary = core._boundary = probe.boundary(core)  # hooked
+                cycles = core.cycles  # an ECC scrub charges cycles  # hooked
+                if core.frozen:  # hooked
+                    return RunResult(STOP_FROZEN, cycles, instret)  # hooked
             if not 0 <= pc < n:
                 raise ExecutionError(core.core_id, core.program.name, pc)
             entry = blocks[pc]
             if entry is not None:
-                if instret + entry[1] <= block_stop:
+                if instret + entry[1] <= block_stop{gate}:
 {apply_block}
                     if di:
                         continue
@@ -584,12 +450,17 @@ def run_fast(core, max_instructions=None, max_cycles=None):
                 cost = fetch(pc, words) - words + 1
                 if mark:
                     flags[pc] = 1
+                if cost != t[1]:  # a miss, not a multi-cycle hit  # hooked
+                    probe.cache_miss(tile, "icache", pc, cycles)  # hooked
             if cost != 1:
                 stall_icache += cost - 1
             kind = t[0]
 {ladder}
             cycles += cost
             instret += 1
+            if retire is not None:  # hooked
+                retire(core, pc, cost)  # hooked
+            regs[0] = 0  # hooked
             pc += 1
     except BaseException as exc:
         fault = _fault_exit(entry, exc)
@@ -599,22 +470,12 @@ def run_fast(core, max_instructions=None, max_cycles=None):
     finally:
         # Idempotent write-back: limit stops, blocking receives and
         # exceptions leave the core where the reference would.
-        core.pc = pc
-        core.cycles = cycles
-        core.instret = instret
-        core.stall_memory = stall_memory
-        core.stall_icache = stall_icache
-        core.stall_branch = stall_branch
-        core.stall_comm = stall_comm
-        if cix_retired:
-            core.cix_retired += cix_retired
-        if hit_words:
-            memory.icache.hits += hit_words
-        if spm_reads:
-            spm.reads += spm_reads
-        if spm_writes:
-            spm.writes += spm_writes
+{write_back}
 '''
+
+#: The hooked engine enters a block only if none of its instructions
+#: starts at or past the boundary cycle, and r0 reads as zero.
+_HOOKED_GATE = " and cycles + entry[3] <= boundary and not regs[0]"
 
 
 def _cix_entry(core):
@@ -624,20 +485,29 @@ def _cix_entry(core):
     return core.patch.execute
 
 
-def _build_run_fast():
+def _build(name, doc, hooked=False):
+    """Generate one instantiation of :data:`_RUN_FAST`."""
+    hook_args = ", on_cix, cycles" if hooked else ""
+    call = f"entry[2][entry[0](regs, spm_words, execute{hook_args})]"
     source = _RUN_FAST.format(
-        apply_block=textwrap.indent(
-            _APPLY.format("entry[2][entry[0](regs, spm_words, execute)]"),
-            " " * 20),
-        apply_fault=textwrap.indent(_APPLY.format("fault"), " " * 12),
+        name=name,
+        doc=doc,
+        sync=textwrap.indent(_SYNC, " " * 16),
+        gate=_HOOKED_GATE if hooked else "",
+        apply_block=textwrap.indent(_APPLY.format(call), " " * 20),
         ladder=textwrap.indent(_ladder(), " " * 12),
+        apply_fault=textwrap.indent(_APPLY.format("fault"), " " * 12),
+        write_back=textwrap.indent(_WRITE_BACK, " " * 8),
     )
-    filename = f"<{__name__}.run_fast>"
+    if not hooked:
+        source = "".join(line for line in source.splitlines(True)
+                         if not line.endswith(_HOOKED + "\n"))
+    filename = f"<{__name__}.{name}>"
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace["run_fast"]
+    return namespace[name]
 
 
 # -- block translation ------------------------------------------------------
@@ -658,7 +528,8 @@ _COLD_ONLY = frozenset({K_JR, K_HALT, K_SEND, K_RECV})
 _TRANSLATIONS = weakref.WeakValueDictionary()
 
 def _translate(code, flags, visits, pc, shape):
-    """``(block, length, exits)`` for the block entered at ``pc``, or None.
+    """``(block, length, exits, cycles)`` for the block entered at
+    ``pc``, or None; ``cycles`` is its longest exit's.
 
     The block runs up to its closing branch or jump, stopping before
     any :data:`_COLD_ONLY` kind.  A block with a line this core has not
@@ -683,18 +554,23 @@ def _translate(code, flags, visits, pc, shape):
     block = _TRANSLATIONS.get(key)
     if block is None:
         block = _TRANSLATIONS[key] = _generate(pc, body, *shape)
-    return block, end - pc, block.exits
+    return (block, end - pc, block.exits,
+            max(deltas[1] for deltas in block.exits))
 
 
-def _generate(start, body, penalty, spm_extra, spm_base, spm_end):
+def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
+              hooked=False):
     """Compile one block to ``block(r, w, x) -> exit index``.
 
     ``r`` is the register list, ``w`` the SPM's backing words and ``x``
     the patch's ``execute``.  Registers, immediates and the SPM window
     are inlined; ``block.exits`` holds the exits' deltas.  A load or
     store outside the window exits before the access, so the cold step
-    runs it.  ``block.faults`` maps the line of each ``cix`` call to the
-    exit that leaves the reference state when that ``cix`` raises.
+    runs it.  A ``hooked`` block is ``block(r, w, x, h, c)``: it calls
+    ``h(cfg, cycle)``, the tile's ``cix`` hook, before each ``cix``,
+    with ``c`` the cycle it was entered at.  ``block.faults`` maps the
+    line of each ``cix`` call, and of its hook's, to the exit that
+    leaves the reference state when that line raises.
     """
     size = spm_end - spm_base
     if size & (size - 1) or spm_base & 3:
@@ -745,7 +621,11 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end):
         elif kind == K_CIX:
             cixes += 1
             # Line numbers count from 1, and line 1 is the ``def``.
-            faults[len(lines) + 2] = exits[leave(pc, offset)]
+            fault = exits[leave(pc, offset)]
+            if hooked:
+                faults[len(lines) + 2] = fault
+                lines.append(f"h({t[3]!r}, c + {cycles})")
+            faults[len(lines) + 2] = fault
             ins = ", ".join(reg(index) for index in t[5])
             lines.extend(_CIX.format(
                 outs=repr(t[4]), call=f"x({t[3]!r}, [{ins}])", regs="r",
@@ -763,7 +643,9 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end):
             lines.append(f"return {leave(t[3], instret, penalty)}")
     if body[-1][0] < FIRST_CONTROL:
         lines.append(f"return {leave(start + len(body), len(body))}")
-    source = "def block(r, w, x):\n" + "".join(f"    {line}\n" for line in lines)
+    params = "r, w, x, h, c" if hooked else "r, w, x"
+    source = (f"def block({params}):\n"
+              + "".join(f"    {line}\n" for line in lines))
     namespace = {}
     exec(compile(source, f"<block at pc {start}>", "exec"), {}, namespace)
     block = namespace["block"]
@@ -775,8 +657,8 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end):
 def _fault_exit(entry, exc):
     """The exit of the block ``entry`` at the ``cix`` that raised ``exc``.
 
-    ``None`` when ``exc`` did not come out of that block's ``cix`` (the
-    cold step raised it, or no block was entered).
+    ``None`` when ``exc`` did not come out of that block's ``cix`` or
+    its hook (the cold step raised it, or no block was entered).
     """
     tb = exc.__traceback__
     while entry is not None and tb is not None:
@@ -786,4 +668,19 @@ def _fault_exit(entry, exc):
     return None
 
 
-run_fast = _build_run_fast()
+run_fast = _build("run_fast", """\
+Hook-free block engine: translated blocks, then a cold step.
+
+    Fires no probe hook (``Core`` refuses ``engine="fast"`` for a probe
+    that observes the core).  Produces bit-identical architectural
+    state, cycles, stall attribution and cache/SPM counters to the
+    reference interpreter; the differential suites in ``tests/cpu``
+    and ``tests/property`` hold it to that.""")
+
+run_hooked = _build("run_hooked", """\
+The block engine with the core's probe hooks (engine ``instrumented``).
+
+    :func:`run_fast` plus the template's ``# hooked`` lines.  Produces
+    the reference interpreter's state, and fires each core hook where
+    the instrumented loop it replaced did, with its arguments;
+    ``tests/cpu/test_hook_streams.py`` holds it to that.""", hooked=True)

@@ -7,17 +7,17 @@ allocate a fresh ``{imm op: base op}`` dict per retired instruction.
 This module performs all of that work once per ``(program, platform)``
 pair and caches the result on the ``Program`` instance:
 
-* every instruction is lowered to an :class:`ExecOp` slot with a dense
-  integer ``kind`` (the dispatch key), pre-bound register indices and
-  immediates, pre-folded ANDI→AND-style base operations and pre-masked
-  shift amounts;
-* alongside the rich slots, a parallel ``code`` list of plain tuples
-  ``(kind, resident_cost, words, *operands)`` feeds the fast loop in
-  :mod:`repro.cpu.engine` — tuple indexing is the cheapest per-retire
-  access path CPython offers;
-* block-leader flags (the profiler's unit of accounting) and per-slot
-  word counts ride along as metadata;
-* ``entries`` marks the pcs where the fast loop may enter a translated
+* every instruction is lowered to one plain tuple ``(kind,
+  resident_cost, words, *operands)`` in the ``code`` list that both
+  instantiations of the block engine in :mod:`repro.cpu.engine` read:
+  a dense integer ``kind`` (the dispatch key), the fetch cost the slot
+  charges when its code lines are I-cache resident, the encoded word
+  count, and pre-bound register indices, immediates (shift amounts
+  pre-masked to 5 bits) and targets — tuple indexing is the cheapest
+  per-retire access path CPython offers;
+* block-leader flags (the profiler's unit of accounting) ride along as
+  metadata;
+* ``entries`` marks the pcs where the engine may enter a translated
   block — every leader and every pc after a ``send``/``recv`` — with
   the number of visits it waits before translating one;
 * ``resident_ok`` records whether the program's code footprint can ever
@@ -35,10 +35,10 @@ from repro.isa.instructions import Op
 
 # -- dispatch kinds ---------------------------------------------------------
 #
-# Dense small ints; the fast loop dispatches on them with an if/elif
-# ladder ordered by dynamic frequency, the instrumented loop indexes a
-# handler list.  Grouped: value-computing families first, then control
-# flow, then the comm pair (which manage cycles themselves).
+# Dense small ints; the engine's cold step dispatches on them with an
+# if/elif ladder ordered by dynamic frequency.  Grouped: value-computing
+# families first, then control flow, then the comm pair (which manage
+# cycles themselves).
 
 K_ADDI = 0    # also the pre-folded home of rd = ra + imm
 K_LW = 1
@@ -105,53 +105,12 @@ _OP_KIND = {
 _SHIFT_IMM_KINDS = frozenset({K_SLLI, K_SRLI, K_SRAI})
 
 
-class ExecOp:
-    """One pre-decoded execution slot (rich form).
-
-    Carries everything a loop or an analysis pass might want about the
-    instruction at ``pc`` without touching the enum or re-deriving
-    metadata: the dispatch ``kind``, the original :class:`Instruction`
-    fields (with immediates already folded to base-op semantics), the
-    encoded word count, the block-leader flag and the fetch cost the
-    slot charges when its code lines are I-cache resident.
-    """
-
-    __slots__ = ("pc", "kind", "op", "rd", "ra", "rb", "imm", "target",
-                 "cfg", "outs", "ins", "words", "is_leader",
-                 "resident_cost")
-
-    def __init__(self, pc, kind, instr, is_leader, resident_cost):
-        self.pc = pc
-        self.kind = kind
-        self.op = instr.op
-        self.rd = instr.rd
-        self.ra = instr.ra
-        self.rb = instr.rb
-        imm = instr.imm
-        if kind in _SHIFT_IMM_KINDS and imm is not None:
-            imm = imm & 31
-        self.imm = imm
-        self.target = instr.target
-        self.cfg = instr.cfg
-        self.outs = tuple(instr.outs) if instr.outs is not None else None
-        self.ins = tuple(instr.ins) if instr.ins is not None else None
-        self.words = instr.words
-        self.is_leader = is_leader
-        self.resident_cost = resident_cost
-
-    def __repr__(self):
-        return f"ExecOp(pc={self.pc}, kind={self.kind}, {self.op.value})"
-
-
 class DecodedProgram:
-    """The decode pass's output: per-PC slots plus fast-loop tuples.
+    """The decode pass's output: one plain tuple per pc.
 
-    ``ops``
-        list of :class:`ExecOp`, index == pc (rich form, instrumented
-        loop and tooling).
     ``code``
-        parallel list of plain tuples ``(kind, resident_cost, words,
-        *operands)`` — the fast loop's representation.
+        list of plain tuples ``(kind, resident_cost, words,
+        *operands)``, index == pc — the engines' representation.
     ``leaders``
         per-PC block-leader flags from the program's basic blocks.
     ``resident_ok``
@@ -164,15 +123,14 @@ class DecodedProgram:
         elsewhere.  Each core counts down its own copy.
     """
 
-    __slots__ = ("program", "ops", "code", "leaders", "n", "resident_ok",
-                 "key", "entries")
+    __slots__ = ("program", "code", "leaders", "n", "resident_ok", "key",
+                 "entries")
 
-    def __init__(self, program, ops, code, leaders, resident_ok, key):
+    def __init__(self, program, code, leaders, resident_ok, key):
         self.program = program
-        self.ops = ops
         self.code = code
         self.leaders = leaders
-        self.n = len(ops)
+        self.n = len(code)
         self.resident_ok = resident_ok
         self.key = key
         entries = bytearray(TRANSLATE_VISITS if leader else 0
@@ -209,30 +167,30 @@ def code_fully_cacheable(num_words, mem_params):
     return (last - first + 1) <= total_lines
 
 
-def _fast_tuple(ex):
-    """Lower one :class:`ExecOp` to the fast loop's plain tuple."""
-    k = ex.kind
-    head = (k, ex.resident_cost, ex.words)
-    if k in (K_ADD, K_SUB, K_MUL, K_MULH, K_AND, K_OR, K_XOR, K_SLT,
-             K_SLTU, K_SEQ, K_SLL, K_SRL, K_SRA):
-        return head + (ex.rd, ex.ra, ex.rb)
-    if k in (K_ADDI, K_ANDI, K_ORI, K_XORI, K_SLTI, K_SLLI, K_SRLI,
-             K_SRAI, K_LW, K_SW):
-        return head + (ex.rd, ex.ra, ex.imm)
-    if k == K_MOV:
-        return head + (ex.rd, ex.ra)
-    if k == K_MOVI:
-        return head + (ex.rd, ex.imm)
-    if k in (K_BEQ, K_BNE, K_BLT, K_BGE, K_BLTU, K_BGEU):
-        return head + (ex.ra, ex.rb, ex.target)
-    if k in (K_JMP, K_JAL):
-        return head + (ex.target,)
-    if k == K_JR:
-        return head + (ex.ra,)
-    if k == K_CIX:
-        return head + (ex.cfg, ex.outs, ex.ins)
-    if k in (K_SEND, K_RECV):
-        return head + (ex.rd, ex.ra, ex.rb)
+def _code_tuple(instr, kind, resident_cost):
+    """Lower one :class:`Instruction` to the engines' plain tuple."""
+    head = (kind, resident_cost, instr.words)
+    if kind in (K_ADD, K_SUB, K_MUL, K_MULH, K_AND, K_OR, K_XOR, K_SLT,
+                K_SLTU, K_SEQ, K_SLL, K_SRL, K_SRA):
+        return head + (instr.rd, instr.ra, instr.rb)
+    if kind in _SHIFT_IMM_KINDS:
+        return head + (instr.rd, instr.ra, instr.imm & 31)
+    if kind in (K_ADDI, K_ANDI, K_ORI, K_XORI, K_SLTI, K_LW, K_SW):
+        return head + (instr.rd, instr.ra, instr.imm)
+    if kind == K_MOV:
+        return head + (instr.rd, instr.ra)
+    if kind == K_MOVI:
+        return head + (instr.rd, instr.imm)
+    if kind in (K_BEQ, K_BNE, K_BLT, K_BGE, K_BLTU, K_BGEU):
+        return head + (instr.ra, instr.rb, instr.target)
+    if kind in (K_JMP, K_JAL):
+        return head + (instr.target,)
+    if kind == K_JR:
+        return head + (instr.ra,)
+    if kind == K_CIX:
+        return head + (instr.cfg, tuple(instr.outs), tuple(instr.ins))
+    if kind in (K_SEND, K_RECV):
+        return head + (instr.rd, instr.ra, instr.rb)
     return head  # HALT / NOP
 
 
@@ -250,8 +208,8 @@ def _decode(program, core_params, mem_params, key):
     leaders = [False] * len(program)
     for block in program.basic_blocks():
         leaders[block.start] = True
-    ops = []
-    for pc, instr in enumerate(program.instructions):
+    code = []
+    for instr in program.instructions:
         kind = _OP_KIND.get(instr.op)
         if kind is None:  # pragma: no cover - full ISA covered above
             raise NotImplementedError(f"opcode {instr.op}")
@@ -259,9 +217,8 @@ def _decode(program, core_params, mem_params, key):
         # fetch() charges hit_latency per word on an all-hit fetch; the
         # core folds multi-word overlap back out as cost = fetch - (w-1).
         resident_cost = words * hit_latency - (words - 1)
-        ops.append(ExecOp(pc, kind, instr, leaders[pc], resident_cost))
-    code = [_fast_tuple(ex) for ex in ops]
-    return DecodedProgram(program, ops, code, leaders, resident_ok, key)
+        code.append(_code_tuple(instr, kind, resident_cost))
+    return DecodedProgram(program, code, leaders, resident_ok, key)
 
 
 def decode_program(program, core_params=None, mem_params=None):

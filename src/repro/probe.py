@@ -4,11 +4,11 @@ A :class:`Probe` has one no-op method per hook; an observer overrides
 only its own hooks.  Cores, the NoC, the message-passing fabric and the
 co-simulation scheduler each take one ``probe`` and call the hooks, and
 :func:`combine` joins several probes into one.  The core hooks fire
-only from :func:`repro.cpu.engine.run_instrumented` (``tile_span``
-from :meth:`repro.cpu.Core.run`), so ``engine="auto"`` takes the
-hook-free fast loop unless the probe ``observes_core``.  ``run_end``
-closes a run on each of the scheduler's exits; single-core harnesses
-call it themselves.
+only from :func:`repro.cpu.engine.run_hooked`, the hooked instantiation
+of the block engine (``tile_span`` from :meth:`repro.cpu.Core.run`),
+so ``engine="auto"`` takes the hook-free one unless the probe
+``observes_core``.  ``run_end`` closes a run on each of the scheduler's
+exits; single-core harnesses call it themselves.
 
 This module imports nothing from the simulator, so every layer can
 depend on it.
@@ -18,9 +18,21 @@ import math
 
 
 class Probe:
-    """Observer of one simulation run: every hook is a no-op."""
+    """Observer of one simulation run: every hook is a no-op.
 
-    #: True when the probe needs the instrumented core loop.
+    A core writes its counters back before it calls ``boundary`` and
+    before it enters the fabric.  So ``boundary`` sees them at an
+    instruction boundary, and the fabric hooks a send or receive calls
+    (``fabric_send``, ``fabric_recv``, ``outbound``, ...) see them
+    after that instruction's fetch, its pc, cycles and instret not yet
+    advanced.  ``retire`` and ``mem_access`` receive the core only for
+    its identity and its memory: its counters may lag there.
+    Overriding either runs the core untranslated, one instruction at a
+    time.
+    """
+
+    #: True when the probe has core hooks, so its cores run the hooked
+    #: block engine.
     observes_core = False
     #: Receive-watchdog deadline in cycles the probe asks for (0: none).
     recv_deadline = 0
@@ -28,7 +40,7 @@ class Probe:
     #: unarmed injector): the fabric then skips its hooks.
     enabled = True
 
-    # -- core: instrumented loop ------------------------------------------
+    # -- core: the hooked block engine -------------------------------
 
     def attach(self, core):
         """A core was built; returns its first boundary cycle."""

@@ -1,17 +1,17 @@
-"""Differential suite: the dispatch engines vs the reference interpreter.
+"""Differential suite: the block engines vs the reference interpreter.
 
 ``Core._run_reference`` is the executable specification of the cycle
-model; ``repro.cpu.engine`` re-implements it twice (instrumented
-dispatch loop, block engine with its cold step).  These tests pin all
-three to bit-identical *complete* final state — registers, cycles,
+model; ``repro.cpu.engine`` re-implements it as a block engine with a
+cold step, generated twice (``fast`` and, hooked, ``instrumented``).
+These tests pin all three to bit-identical *complete* final state — registers, cycles,
 instret, every stall counter, cache/SPM/DRAM counters and contents, and
 the kernel's computed result — over the full Figure 11 suite, both as
 plain scalar binaries and as compiled artifacts executing custom
 instructions through a :class:`PatchExecutor`, on the default memory
 and off its latencies.  The block engine's own corners follow: limit
 stops inside translated blocks, blocking receives, runaway pcs, memory
-accesses that leave the SPM window, shared translations and a ``cix``
-raising inside a block.
+accesses that leave the SPM window, shared translations (hooked ones
+keyed apart) and a ``cix`` raising inside a block.
 
 Any timing-model edit that touches only one loop fails here first.
 """
@@ -36,6 +36,7 @@ from repro.isa.decoded import K_CIX
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.spm import SPM_BASE, SPM_SIZE
 from repro.platform import PlatformConfig
+from repro.telemetry import Tracer
 from repro.workloads import KERNEL_FACTORIES, make_kernel
 
 ENGINES = ("reference", "instrumented", "fast")
@@ -491,28 +492,47 @@ def test_cores_share_translations_with_their_own_patch_and_memory():
     assert first.regs != second.regs
 
 
+def test_hooked_translations_are_keyed_apart():
+    compiled = compile_case("fir", "AT-MA")
+    cores = []
+    for probe in (None, Tracer()):
+        kernel = make_kernel("fir", seed=1)
+        memory = MemorySystem.stitch()
+        core = Core(compiled.program, memory, probe=probe,
+                    patch=PatchExecutor(compiled.cfg_table, memory))
+        kernel.setup(core)
+        core.run()
+        cores.append(core)
+    fast, hooked = cores
+    assert hooked.selected_engine() == "instrumented"
+    assert translated(fast) == translated(hooked) != {}
+    for pc in translated(fast):
+        assert fast._blocks[pc][0] is not hooked._blocks[pc][0]
+
+
 def test_translations_die_with_their_last_core():
     compiled = compile_case("fir", "AT-MA")
 
-    def run_fir():
+    def run_fir(probe):
         kernel = make_kernel("fir", seed=1)
         memory = MemorySystem.stitch()
-        core = Core(compiled.program, memory, engine="fast",
+        core = Core(compiled.program, memory, probe=probe,
                     patch=PatchExecutor(compiled.cfg_table, memory))
         kernel.setup(core)
         core.run()
         return core
 
-    first, second = run_fir(), run_fir()
-    blocks = [weakref.ref(entry[0]) for entry in first._blocks
-              if entry is not None]
-    assert blocks
-    del first
-    assert all(block() is not None for block in blocks)  # second holds them
-    del second
-    # No gc.collect(): a translation that captured a core, memory or
-    # patch would sit in a reference cycle and survive this.
-    assert all(block() is None for block in blocks)
+    for probe in (lambda: None, Tracer):  # engine fast, then instrumented
+        first, second = run_fir(probe()), run_fir(probe())
+        blocks = [weakref.ref(entry[0]) for entry in first._blocks
+                  if entry is not None]
+        assert blocks
+        del first
+        assert all(block() is not None for block in blocks)  # second's
+        del second
+        # No gc.collect(): a translation that captured a core, memory,
+        # probe or patch would sit in a reference cycle and survive this.
+        assert all(block() is None for block in blocks)
 
 
 def _cix_core(engine):

@@ -4,7 +4,8 @@ Hypothesis generates random straight-line bodies and counted loops
 over the scalar ISA (ALU, shifts, SPM loads/stores) and asserts the
 block engine finishes in *exactly* the reference interpreter's state —
 registers, cycles, instret, every stall bucket, and the cache/SPM
-counters.  Loops of three or more trips run translated blocks, so they
+counters — and that its hooked instantiation fires the instrumented
+loop's hook stream.  Loops of three or more trips run translated blocks, so they
 are also stopped at every instruction of a translated trip, and run
 with loads and stores that stray outside the SPM window or off word
 alignment.  The fixed-kernel suite in
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu.core import Core
 from repro.isa import assemble
 from repro.mem import MemorySystem, SPM_BASE
+from tests.cpu.test_hook_streams import PerInstruction, Recorder, on_both
 
 i32 = st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1)
 #: Initial register values: a harness may also leave one unwrapped.
@@ -93,34 +95,39 @@ def counted_loop(body, trips):
     )
 
 
+def run_one(source, init_regs, spm_words, max_instructions=200_000,
+            **core_args):
+    """The final state of one run of ``source``."""
+    memory = MemorySystem.stitch()
+    memory.load(SPM_BASE, spm_words)
+    core = Core(assemble(source), memory, **core_args)
+    for index, value in enumerate(init_regs, start=1):
+        core.regs[index] = value
+    core.regs[14] = SPM_BASE
+    try:
+        outcome = core.run(max_instructions=max_instructions).reason
+    except ValueError as exc:  # an unaligned access
+        outcome = str(exc)
+    return {
+        "reason": outcome,
+        "regs": list(core.regs),
+        "pc": core.pc,
+        "cycles": core.cycles,
+        "instret": core.instret,
+        "stalls": (core.stall_memory, core.stall_icache,
+                   core.stall_branch, core.stall_comm),
+        "icache": (memory.icache.hits, memory.icache.misses),
+        "dcache": (memory.dcache.hits, memory.dcache.misses),
+        "dram": dict(memory.dram._words),
+        "spm": (memory.spm.reads, memory.spm.writes,
+                list(memory.spm._words)),
+    }
+
+
 def run_both(source, init_regs, spm_words, max_instructions=200_000):
-    states = []
-    for engine in ("reference", "fast"):
-        memory = MemorySystem.stitch()
-        memory.load(SPM_BASE, spm_words)
-        core = Core(assemble(source), memory, engine=engine)
-        for index, value in enumerate(init_regs, start=1):
-            core.regs[index] = value
-        core.regs[14] = SPM_BASE
-        try:
-            outcome = core.run(max_instructions=max_instructions).reason
-        except ValueError as exc:  # an unaligned access
-            outcome = str(exc)
-        states.append({
-            "reason": outcome,
-            "regs": list(core.regs),
-            "pc": core.pc,
-            "cycles": core.cycles,
-            "instret": core.instret,
-            "stalls": (core.stall_memory, core.stall_icache,
-                       core.stall_branch, core.stall_comm),
-            "icache": (memory.icache.hits, memory.icache.misses),
-            "dcache": (memory.dcache.hits, memory.dcache.misses),
-            "dram": dict(memory.dram._words),
-            "spm": (memory.spm.reads, memory.spm.writes,
-                    list(memory.spm._words)),
-        })
-    return states
+    return [run_one(source, init_regs, spm_words, max_instructions,
+                    engine=engine)
+            for engine in ("reference", "fast")]
 
 
 class TestFastVsReference:
@@ -194,3 +201,26 @@ class TestFastVsReference:
             states.append((list(core.regs), core.pc, core.cycles,
                            core.instret, core.halted))
         assert states[0] == states[1]
+
+
+class TestHookedVsInstrumented:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.one_of(loop_safe, stray_access), min_size=1,
+                 max_size=10),
+        st.integers(min_value=1, max_value=12),
+        st.lists(reg_value, min_size=13, max_size=13),
+        st.lists(i32, min_size=16, max_size=16),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=60)),
+        st.sampled_from((Recorder, PerInstruction)),
+    )
+    def test_counted_loop_hook_stream(self, body, trips, init_regs,
+                                      spm_words, interval, recorder):
+        def run():
+            probe = recorder(interval=interval)
+            state = run_one(counted_loop(body, trips), init_regs, spm_words,
+                            probe=probe)
+            return state, probe.log
+
+        hooked, instrumented = on_both(run)
+        assert hooked == instrumented

@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos import Fault, InjectionPlan, Injector
 from repro.compiler.profiler import BlockProfiler
+from repro.core.executor import PatchExecutor
 from repro.cpu import Core
 from repro.critpath import DependencyRecorder
 from repro.isa import assemble
@@ -15,7 +16,9 @@ from repro.profile import PCProfiler
 from repro.sim import StitchSystem
 from repro.sim.baselines import ARCH_STITCH, AppEvaluator
 from repro.telemetry import Stats, Telemetry, TimeSeries, Tracer
+from repro.workloads import make_kernel
 from repro.workloads.apps import app4_transport
+from tests.cpu.test_engine_differential import compile_case
 
 PROGRAM = assemble("movi r1, 3\nloop: addi r1, r1, -1\nbne r1, r0, loop\nhalt")
 
@@ -54,6 +57,33 @@ def test_engine_rule(factory, auto):
             # Neither loop fires hooks: refused when the core is built.
             with pytest.raises(ValueError, match=engine):
                 build(engine)
+
+
+def test_a_per_instruction_hook_turns_translation_off():
+    # PROGRAM's loop is a 2-instruction block; this one's is 3.
+    program = assemble("movi r1, 9\nloop: addi r2, r2, 1\n"
+                       "addi r1, r1, -1\nbne r1, r0, loop\nhalt")
+    translated = {}
+    for name, probe in (("tracer", Tracer()), ("retire", PCProfiler())):
+        core = Core(program, MemorySystem.stitch(), probe=probe)
+        core.run()
+        assert core.selected_engine() == "instrumented"
+        translated[name] = any(core._blocks)
+    assert translated == {"tracer": True, "retire": False}
+
+
+def test_an_observed_core_translates_and_traces_every_cix():
+    compiled = compile_case("fir", "AT-MA")
+    kernel = make_kernel("fir", seed=1)
+    memory = MemorySystem.stitch()
+    patch = PatchExecutor(compiled.cfg_table, memory)
+    telemetry = Telemetry()
+    core = Core(compiled.program, memory, patch=patch, probe=telemetry)
+    kernel.setup(core)
+    core.run()
+    assert any(core._blocks)
+    traced = [e for e in telemetry.tracer.events if e.category == "patch"]
+    assert len(traced) == patch.executions > 0
 
 
 def test_combining_null_members_gives_the_null_probe():
