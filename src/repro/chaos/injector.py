@@ -161,7 +161,7 @@ class Injector(Probe):
                 self._log("fault", "freeze", core.core_id, now)
                 continue
             if fault.site == "reg":
-                index = fault.reg % len(core.regs)
+                index = fault.reg
                 old = core.regs[index]
                 restore = old
                 core.regs[index] = _flip(old, fault.bit)

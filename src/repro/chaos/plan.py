@@ -12,8 +12,8 @@ JSON alone.
 Fault sites (``Fault.site``):
 
 ``reg``
-    Flip bit ``bit`` of register ``reg`` on ``tile`` at the first
-    injector boundary at or after ``cycle``.
+    Flip bit ``bit`` of register ``reg`` (1..15: r0 is hardwired zero)
+    on ``tile`` at the first injector boundary at or after ``cycle``.
 ``spm`` / ``dram``
     Flip bit ``bit`` of the word at ``addr`` in the tile's scratchpad /
     private DRAM at ``cycle`` (architectural perturbation, untimed).
@@ -85,6 +85,9 @@ class Fault:
             found.append(("C003", loc, f"negative tile {self.tile}"))
         if self.cycle < 0:
             found.append(("C003", loc, f"negative trigger cycle {self.cycle}"))
+        if self.site == "reg" and not 1 <= self.reg < 16:
+            found.append(("C003", loc, f"register r{self.reg} outside "
+                                       "r1..r15 (r0 is hardwired zero)"))
         if self.site in ("spm", "dram") and self.addr % 4:
             found.append(
                 ("C004", loc, f"unaligned word address {self.addr:#x}")

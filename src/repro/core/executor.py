@@ -5,48 +5,37 @@ instruction names an entry of the program's configuration table; the
 executor evaluates the configured chain and performs any LMAU
 scratchpad traffic inside the same cycle (Section III-C).
 
-Each table entry is lowered once, when the executor is built, the way
-:mod:`repro.isa.decoded` lowers programs.  Every active unit becomes a
-step ``(value function, lhs slot, rhs slot)`` over one working list of
-operand slots.  A compute unit's value function is its op's entry in
-:data:`repro.isa.instructions.OP_VALUE`, the interpreter's own
-definition, so a custom instruction stays bit-identical to the software
-sequence it replaces.  The LMAU's step has its mode and its
-scratchpad's ``spm_read``/``spm_write`` bound in.  A ``cix`` then only
-runs the steps.  The working-list slots::
+Each table entry, a single patch or a fused pair, is lowered once, when
+the executor is built, to one generated Python function of the ``cix``
+operands, the way :mod:`repro.cpu.engine` translates a basic block.
+Each active unit becomes one assignment built from its op's template in
+:data:`repro.isa.decoded.VALUES`, the template the block engine inlines
+for the same op, so a custom instruction stays bit-identical to the
+software sequence it replaces.  The LMAU indexes its scratchpad's words
+(:meth:`~repro.mem.spm.Scratchpad.window`) when the address is aligned
+and inside the window, and bumps ``reads``/``writes``; any other
+address goes through ``MemorySystem.spm_read``/``spm_write``, which
+raise the checked path's error.  Missing operands read 0; operands past
+the fourth are ignored.
 
-    0-3  ext0-ext3: the cix operands, zero-padded
-    4    chain wire of the patch (of patch A in a fused pair): out0, a_out0
-    5    its second output: out1, a_out1
-    6    chain wire of a fused pair's patch B: b_out0
-    7    its second output: b_out1
+The generated code is cached by its source text, in a module-level
+cache of at most :data:`CODE_CACHE_SIZE` entries, so executors over
+equal configurations and memories of one geometry share one code
+object.  What is cached is a factory: each executor binds its own
+memories into it, so the cache holds neither executors nor memories.
 """
+
+import functools
 
 from repro.core.config import TMode
 from repro.core.fusion import FusedConfig
 from repro.core.units import Source
 from repro.cpu.core import PatchPort
-from repro.isa.instructions import OP_VALUE
+from repro.isa.decoded import OP_KIND, WRAP, value_source, window_test
 
-_MASK32 = 0xFFFFFFFF
-#: A working list is the cix operands followed by as many of these as
-#: bring it to eight slots.
-_SLOTS = (0,) * 8
-#: Working-list slot of every fused-pair source and output.
-_FUSED_SLOT = {
-    "ext0": 0, "ext1": 1, "ext2": 2, "ext3": 3,
-    "a_out0": 4, "a_out1": 5, "b_out0": 6, "b_out1": 7,
-}
-
-
-def _working(ext):
-    values = list(ext)
-    values += _SLOTS[len(values):]
-    return values
-
-
-def _no_scratchpad(chain, operand):
-    raise RuntimeError("LMAU active but no scratchpad is reachable")
+#: Generated configurations kept, by source text.  Generating one costs
+#: about 0.3 ms; a compile pass of the kernel suite meets 199.
+CODE_CACHE_SIZE = 1024
 
 
 def _unbound_remote(values):
@@ -56,98 +45,141 @@ def _unbound_remote(values):
     )
 
 
-def _lmau_step(mode, memory, wire, ext):
-    """The LMAU as a step: it reads the chain wire and drives it."""
-    if memory is None:
-        return _no_scratchpad, wire, wire
-    if mode is TMode.LOAD:
-        spm_read = memory.spm_read
+class _Lowering:
+    """The straight-line source of one configuration.
 
-        def load(addr, _):
-            return spm_read(addr & _MASK32)
-
-        return load, wire, wire
-    spm_write = memory.spm_write
-
-    def store(addr, data):  # the stored data drives the chain wire
-        spm_write(addr & _MASK32, data)
-        return data
-
-    if mode is TMode.STORE_DATA_CHAIN:
-        return store, ext[2], wire
-    return store, wire, ext[3]
-
-
-def _lower_patch(cfg, memory, missing, ext=(0, 1, 2, 3), chain=4):
-    """Lower a :class:`PatchConfig` to ``run(values) -> [out0, out1]``.
-
-    ``ext`` holds the slots of the patch's four operands and ``chain``
-    the slot of its chain wire; ``run`` leaves the outputs in slots
-    ``chain`` and ``chain + 1``.  ``out1`` is the chain value after
-    positions 0-1 when a unit there and one in positions 2-3 are both
-    active, else ``missing``.
+    ``lines`` is the body of ``run(e)`` after its operand prologue,
+    ``binds`` the ``(parameter, value)`` pairs its factory takes, and
+    ``used`` the operand slots the body reads (as ``e0``-``e3``).
     """
-    steps = []
-    split = 0
-    wire = ext[0]  # the chain wire carries ext0 until a unit drives it
-    for position, unit in enumerate((cfg.u0, cfg.u1, cfg.u2, cfg.u3)):
-        if position == 1 and cfg.t is not TMode.OFF:
-            steps.append(_lmau_step(cfg.t, memory, wire, ext))
-        elif unit is not None:
-            lhs, rhs = (
-                wire if source == Source.CHAIN
-                else ext[Source.ext_index(source)]
-                for source in (unit.in1, unit.in2)
-            )
-            steps.append((OP_VALUE[unit.op], lhs, rhs))
+
+    def __init__(self):
+        self.lines = []
+        self.binds = []
+        self.used = set()
+
+    def ext(self, slot):
+        self.used.add(slot)
+        return f"e{slot}"
+
+    def patch(self, cfg, memory, side, ext, missing):
+        """Emit patch ``cfg`` with operands ``ext(slot)``; returns the
+        names of ``(out0, out1)``.
+
+        Unit ``p`` of side ``a`` assigns ``a{p}``.  The chain wire
+        carries ext0 until a unit drives it; ``out1`` is the wire after
+        positions 0-1 when a unit there and one in positions 2-3 are
+        both active, else ``missing``.
+        """
+        wire = None  # ext(0), read only if something reads the wire
+        front = tail = None
+        for position, unit in enumerate((cfg.u0, cfg.u1, cfg.u2, cfg.u3)):
+            if position == 1 and cfg.t is not TMode.OFF:
+                wire = self._lmau(cfg.t, memory, side, wire or ext(0), ext)
+            elif unit is not None:
+                lhs, rhs = (
+                    wire or ext(0) if source == Source.CHAIN
+                    else ext(Source.ext_index(source))
+                    for source in (unit.in1, unit.in2)
+                )
+                wire = f"{side}{position}"
+                self.lines.append(f"{wire} = " + value_source(
+                    OP_KIND[unit.op],
+                    lambda slot, name: lhs if name == "a" else rhs))
+            else:
+                continue
+            if position < 2:
+                front = wire
+            else:
+                tail = wire
+        return wire, front if front and tail else missing
+
+    def _lmau(self, mode, memory, side, wire, ext):
+        """Emit the LMAU; returns the wire it drives."""
+        if mode is TMode.LOAD:
+            addr, data = wire, None
+        elif mode is TMode.STORE_DATA_CHAIN:
+            addr, data = ext(2), wire
         else:
-            continue
-        wire = chain
-        if position < 2:
-            split = len(steps)
-    front, tail = tuple(steps[:split]), tuple(steps[split:])
-    has_out1 = bool(front and tail)
-    half, end = chain + 1, chain + 2
+            addr, data = wire, ext(3)
+        # A load drives the wire with the word, a store with its data.
+        driven = f"{side}1" if data is None else data
+        if memory is None:  # the code after this line never runs
+            self.lines.append('raise RuntimeError("LMAU active but no '
+                              'scratchpad is reachable")')
+            return driven
+        self.binds.append((f"m{side}", memory))
+        if data is None:
+            checked = f"{side}1 = m{side}.spm_read({addr} & 4294967295)"
+            direct = [f"s{side}.reads += 1", f"{side}1 = w{side}[i >> 2]"]
+        else:
+            checked = f"m{side}.spm_write({addr} & 4294967295, {data})"
+            direct = [f"s{side}.writes += 1",
+                      f"w{side}[i >> 2] = " + WRAP.format(data)]
+        spm = getattr(memory, "spm", None)
+        if spm is None:
+            self.lines.append(checked)
+        else:
+            words, base, end, _ = spm.window()
+            self.binds += [(f"s{side}", spm), (f"w{side}", words)]
+            self.lines += [f"i = ({addr} & 4294967295) - {base}",
+                           f"if {window_test(base, end)}:",
+                           f"    {checked}",
+                           "else:"] + [f"    {line}" for line in direct]
+        return driven
 
-    def run(values):
-        for value_of, lhs, rhs in front:
-            values[chain] = value_of(values[lhs], values[rhs])
-        values[half] = values[chain] if has_out1 else missing
-        for value_of, lhs, rhs in tail:
-            values[chain] = value_of(values[lhs], values[rhs])
-        return values[chain:end]
+    def run(self, outs):
+        """``run(e) -> [outs...]``, this lowering's memories bound into
+        the cached code."""
+        reads = [f"e{slot} = e[{slot}]" for slot in sorted(self.used)]
+        body = ["try:", *(f"    {line}" for line in reads),
+                "except (IndexError, TypeError):  # short, or not a list",
+                "    e = [*e, 0, 0, 0, 0]",
+                *(f"    {line}" for line in reads),
+                *self.lines,
+                f"return [{', '.join(outs)}]"]
+        source = (f"def bind({', '.join(name for name, _ in self.binds)}):\n"
+                  "    def run(e):\n"
+                  + "".join(f"        {line}\n" for line in body)
+                  + "    return run\n")
+        return _factory(source)(*(value for _, value in self.binds))
 
-    return run
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _factory(source):
+    namespace = {}
+    exec(compile(source, "<patch configuration>", "exec"), {}, namespace)
+    return namespace["bind"]
+
+
+def _lower_patch(cfg, memory, missing):
+    """Lower a :class:`PatchConfig` to ``run(ext) -> [out0, out1]``,
+    with ``missing`` standing for an ``out1`` the patch does not drive."""
+    lowering = _Lowering()
+    return lowering.run(
+        lowering.patch(cfg, memory, "a", lowering.ext, repr(missing)))
 
 
 def _lower_fused(cfg, memory_a, memory_b):
-    """Lower a :class:`FusedConfig` to ``run(values) -> [outs...]``.
+    """Lower a :class:`FusedConfig` to ``run(ext) -> [outs...]``.
 
-    Patch B reads its operands straight from the slots ``b_ext`` wires
-    them to, so A's outputs reach B without a copy.
+    Patch B's operands are the names ``b_ext`` wires them to, so A's
+    outputs reach B without a copy; an output a half does not drive
+    reads 0.
     """
-    run_a = _lower_patch(cfg.cfg_a, memory_a, 0)
-    run_b = _lower_patch(
-        cfg.cfg_b, memory_b, 0,
-        ext=tuple(_FUSED_SLOT[source] for source in cfg.b_ext), chain=6,
-    )
-    outs = tuple(_FUSED_SLOT[source] for source in cfg.outs)
-    if len(outs) == 1:
-        (out,) = outs
+    lowering = _Lowering()
+    produced = dict(zip(("a_out0", "a_out1"), lowering.patch(
+        cfg.cfg_a, memory_a, "a", lowering.ext, "0")))
 
-        def run(values):
-            run_a(values)
-            run_b(values)
-            return [values[out]]
-    else:
-        out0, out1 = outs
+    def b_ext(slot):
+        source = cfg.b_ext[slot]
+        if source in produced:
+            return produced[source]
+        return lowering.ext(Source.ext_index(source))
 
-        def run(values):
-            run_a(values)
-            run_b(values)
-            return [values[out0], values[out1]]
-
-    return run
+    produced.update(zip(("b_out0", "b_out1"), lowering.patch(
+        cfg.cfg_b, memory_b, "b", b_ext, "0")))
+    return lowering.run([produced[source] for source in cfg.outs])
 
 
 def evaluate_patch(cfg, ext, memory):
@@ -157,12 +189,12 @@ def evaluate_patch(cfg, ext, memory):
     the LMAU's scratchpad.  Returns ``(out0, out1)`` where ``out1`` is
     ``None`` unless both chain halves produced values.
     """
-    return tuple(_lower_patch(cfg, memory, None)(_working(ext)))
+    return tuple(_lower_patch(cfg, memory, None)(ext))
 
 
 def evaluate_fused(cfg, ext, memory_a, memory_b):
     """Evaluate a fused pair: A on the origin tile, B on the remote."""
-    return tuple(_lower_fused(cfg, memory_a, memory_b)(_working(ext)))
+    return tuple(_lower_fused(cfg, memory_a, memory_b)(ext))
 
 
 class PatchExecutor(PatchPort):
@@ -176,8 +208,8 @@ class PatchExecutor(PatchPort):
     halves run against ``replica_memory`` (None there) and
     ``remote_spm_accesses`` stays 0.
 
-    The configuration table is lowered once, here; ``execute`` then
-    counts the call and runs the lowered entry.
+    The configuration table is lowered once, here, to one generated
+    function per entry; ``execute`` then counts the call and makes it.
     """
 
     def __init__(self, cfg_table, memory, remote_memories=None,
@@ -221,15 +253,13 @@ class PatchExecutor(PatchPort):
                 f"cix names config {cfg_id} but the table has "
                 f"{len(self.cfg_table)} entries"
             ) from None
-        values = list(in_values)
-        values += _SLOTS[len(values):]
         self.executions += 1
         self.config_counts[cfg_id] = self.config_counts.get(cfg_id, 0) + 1
         if fused:
             self.fused_executions += 1
             if remote:
                 self.remote_spm_accesses += 1
-        return run(values)
+        return run(in_values)
 
     def stats(self):
         """Invocation counters (feeds the SystemStats roll-up)."""

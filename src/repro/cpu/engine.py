@@ -3,8 +3,9 @@
 One generated loop runs every engine but ``reference`` (the hook-free
 ``Core._run_reference``).  It is generated twice from one template
 (:data:`_RUN_FAST`) and one block translator (:func:`_generate`), and
-takes each op's semantics from one table of per-kind source templates
-(:data:`_VALUES`, :data:`_CONDITIONS`), so each op is defined once:
+takes each op's semantics from the per-kind source templates of
+:mod:`repro.isa.decoded` (``VALUES``, ``CONDITIONS``), which the patch
+executor also instantiates, so each op is defined once:
 
 * :func:`run_fast` — engine ``fast``, selected when the probe does not
   observe the core.  It fires no hook.
@@ -25,8 +26,11 @@ visit to a block entry (a leader, or the pc after a ``send``/``recv``)
 whose lines are all resident on the core, the engine translates the
 block up to its closing branch or jump into one Python function:
 registers, immediates and aligned SPM-window loads and stores inlined,
-each exit one constant tuple of deltas (next pc, cycles, instret, stall
-buckets, I-cache hit words, SPM reads and writes, ``cix`` count).
+each ``cix`` one call of the patch's ``execute`` whose results are
+written back in straight-line code (one store per nonzero out register,
+guarded by the result's length), each exit one constant tuple of deltas
+(next pc, cycles, instret, stall buckets, I-cache hit words, SPM reads
+and writes, ``cix`` count).
 Everything else runs on the cold step, a frequency-ordered ladder over
 dense integer kinds: first visits, blocks under three instructions,
 ``send``/``recv``/``jr``/``halt``, a block that would cross the
@@ -73,6 +77,8 @@ from repro.cpu.core import (
     STOP_RECV,
 )
 from repro.isa.decoded import (
+    BRANCH,
+    CONDITIONS,
     FIRST_CONTROL,
     K_ADD,
     K_ADDI,
@@ -113,80 +119,18 @@ from repro.isa.decoded import (
     K_SW,
     K_XOR,
     K_XORI,
+    VALUES,
+    WRAP,
+    fill,
+    value_source,
+    window_test,
 )
 from repro.probe import overrides  # noqa: F401 (used by run_hooked)
 
 
-# -- per-kind source templates ----------------------------------------------
-#
-# One definition of each op, instantiated into the cold step's ladder
-# (operands read from the code tuple ``t``) and into every translated
-# block (operands inlined as literals).  ``a``/``b`` read source
-# registers, ``i`` is an immediate.
-
-_WRAP = "(({}) + 2147483648 & 4294967295) - 2147483648"  # == wrap32(...)
-_FLAG = "(1 if {} else 0)"
-
-# Code-tuple slots of each template operand (see ``_code_tuple`` in
-# :mod:`repro.isa.decoded`).
-_R3 = (("a", 4), ("b", 5))
-_RI = (("a", 4), ("i", 5))
-
-#: kind -> (operand slots, value, result form) for every op whose only
-#: effect is ``rd = value``.
-_VALUES = {
-    K_ADDI: (_RI, "{a} + {i}", _WRAP),
-    K_ADD: (_R3, "{a} + {b}", _WRAP),
-    K_SUB: (_R3, "{a} - {b}", _WRAP),
-    K_MUL: (_R3, "{a} * {b}", _WRAP),
-    K_MULH: (_R3, "{a} * {b} >> 32", _WRAP),
-    K_AND: (_R3, "{a} & {b}", _WRAP),
-    K_OR: (_R3, "{a} | {b}", _WRAP),
-    K_XOR: (_R3, "{a} ^ {b}", _WRAP),
-    K_SLT: (_R3, "{a} < {b}", _FLAG),
-    K_SLTU: (_R3, "({a} & 4294967295) < ({b} & 4294967295)", _FLAG),
-    K_SEQ: (_R3, "{a} == {b}", _FLAG),
-    K_ANDI: (_RI, "{a} & {i}", _WRAP),  # immediates pre-folded at decode
-    K_ORI: (_RI, "{a} | {i}", _WRAP),
-    K_XORI: (_RI, "{a} ^ {i}", _WRAP),
-    K_SLTI: (_RI, "{a} < {i}", _FLAG),
-    K_SLL: (_R3, "({a} & 4294967295) << ({b} & 31)", _WRAP),
-    K_SRL: (_R3, "({a} & 4294967295) >> ({b} & 31)", _WRAP),
-    K_SRA: (_R3, "{a} >> ({b} & 31)", _WRAP),
-    K_SLLI: (_RI, "({a} & 4294967295) << {i}", _WRAP),  # i pre-masked
-    K_SRLI: (_RI, "({a} & 4294967295) >> {i}", _WRAP),
-    K_SRAI: (_RI, "{a} >> {i}", _WRAP),
-    K_MOV: ((("a", 4),), "{a}", "{}"),
-    K_MOVI: ((("i", 4),), "{i}", "{}"),  # movi keeps its value unwrapped
-}
-
-#: branch kind -> taken condition; ``a``/``b`` in slots 3/4, target in 5.
-_BRANCH = (("a", 3), ("b", 4))
-_CONDITIONS = {
-    K_BEQ: "{a} == {b}",
-    K_BNE: "{a} != {b}",
-    K_BLT: "{a} < {b}",
-    K_BGE: "{a} >= {b}",
-    K_BLTU: "({a} & 4294967295) < ({b} & 4294967295)",
-    K_BGEU: "({a} & 4294967295) >= ({b} & 4294967295)",
-}
-
-#: Output write-back of a ``cix``: ``zip`` keeps the reference's
-#: truncation when the patch returns fewer values than registers.
-_CIX = "for k, v in zip({outs}, {call}):\n    if k:\n        {regs}[k] = " \
-    + _WRAP.format("v")
-
-
-def _fill(slots, template, operand):
-    return template.format(**{name: operand(slot, name) for name, slot in slots})
-
-
 # -- the cold step ----------------------------------------------------------
 #
-# A line ending in ``# hooked`` exists only in :func:`run_hooked`.  The
-# hooked cold step also resets r0 after each instruction but a
-# send/recv, as the reference does: a ``boundary`` hook may flip it,
-# and the next instruction reads the flipped value.
+# A line ending in ``# hooked`` exists only in :func:`run_hooked`.
 
 _HOOKED = "  # hooked"
 
@@ -202,7 +146,6 @@ instret += 1
 if retire is not None:  # hooked
     retire(core, pc, cost + penalty)  # hooked
 pc = {}
-regs[0] = 0  # hooked
 continue"""
 
 _SPM_ACCESS = """\
@@ -256,13 +199,15 @@ _COLD_ARMS = {
     ) + "\nrd = t[3]\nif rd:\n    regs[rd] = value",
     K_SW: _SPM_ACCESS.format(
         spm="spm_words[addr - spm_base >> 2] = "
-            + _WRAP.format("regs[t[3]]") + "\n    spm_writes += 1",
+            + WRAP.format("regs[t[3]]") + "\n    spm_writes += 1",
         checked="mem_cycles = write(addr, regs[t[3]])",
     ),
-    K_CIX: "cix_retired += 1\non_cix(t[3], cycles)" + _HOOKED + "\n"
-        + _CIX.format(outs="t[4]",
-                      call="execute(t[3], [regs[r] for r in t[5]])",
-                      regs="regs"),
+    # ``zip`` keeps the reference's truncation when the patch returns
+    # fewer values than registers.
+    K_CIX: "cix_retired += 1\non_cix(t[3], cycles)" + _HOOKED + """
+for k, v in zip(t[4], execute(t[3], [regs[r] for r in t[5]])):
+    if k:
+        regs[k] = """ + WRAP.format("v"),
     K_NOP: "pass",
     K_JMP: _TAKEN.format("t[3]"),
     K_JAL: "regs[15] = pc + 1\n" + _TAKEN.format("t[3]"),
@@ -273,7 +218,6 @@ cycles += cost
 instret += 1
 if retire is not None:  # hooked
     retire(core, pc, cost)  # hooked
-regs[0] = 0  # hooked
 pc += 1
 return RunResult(STOP_HALT, cycles, instret)""",
     K_SEND: """\
@@ -316,12 +260,11 @@ _LADDER_ORDER = (
 
 
 def _cold_arm(kind):
-    if kind in _VALUES:
-        slots, value, form = _VALUES[kind]
+    if kind in VALUES:
         return ("rd = t[3]\nif rd:\n    regs[rd] = "
-                + form.format(_fill(slots, value, _cold_operand)))
-    if kind in _CONDITIONS:
-        condition = _fill(_BRANCH, _CONDITIONS[kind], _cold_operand)
+                + value_source(kind, _cold_operand))
+    if kind in CONDITIONS:
+        condition = fill(BRANCH, CONDITIONS[kind], _cold_operand)
         return f"if {condition}:\n" + textwrap.indent(
             _TAKEN.format("t[5]"), "    ")
     return _COLD_ARMS[kind]
@@ -460,7 +403,6 @@ def {name}(core, max_instructions=None, max_cycles=None):
             instret += 1
             if retire is not None:  # hooked
                 retire(core, pc, cost)  # hooked
-            regs[0] = 0  # hooked
             pc += 1
     except BaseException as exc:
         fault = _fault_exit(entry, exc)
@@ -474,8 +416,8 @@ def {name}(core, max_instructions=None, max_cycles=None):
 '''
 
 #: The hooked engine enters a block only if none of its instructions
-#: starts at or past the boundary cycle, and r0 reads as zero.
-_HOOKED_GATE = " and cycles + entry[3] <= boundary and not regs[0]"
+#: starts at or past the boundary cycle.
+_HOOKED_GATE = " and cycles + entry[3] <= boundary"
 
 
 def _cix_entry(core):
@@ -570,13 +512,12 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
     ``h(cfg, cycle)``, the tile's ``cix`` hook, before each ``cix``,
     with ``c`` the cycle it was entered at.  ``block.faults`` maps the
     line of each ``cix`` call, and of its hook's, to the exit that
-    leaves the reference state when that line raises.
+    leaves the reference state when that line raises.  A ``cix``'s
+    results are written back in straight-line code: one store per
+    nonzero out register, guarded by the result's length as ``zip``
+    truncates.
     """
-    size = spm_end - spm_base
-    if size & (size - 1) or spm_base & 3:
-        outside = f"(i + {spm_base & 3}) & 3 or not 0 <= i < {size}"
-    else:  # one mask test: unaligned, below or past the window
-        outside = f"i & {~(size - 4)}"
+    outside = window_test(spm_base, spm_end)
     spm_stall = max(spm_extra, 0)
     lines, exits, faults = [], [], {}
     cycles = icache = memory = hits = reads = writes = cixes = 0
@@ -602,11 +543,9 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
         cost = t[1]
         icache += cost - 1
         hits += t[2]
-        if kind in _VALUES:
+        if kind in VALUES:
             if t[3]:
-                slots, value, form = _VALUES[kind]
-                lines.append(f"r[{t[3]}] = "
-                             + form.format(_fill(slots, value, operand)))
+                lines.append(f"r[{t[3]}] = " + value_source(kind, operand))
         elif kind == K_LW:
             if t[3]:
                 lines.append(f"r[{t[3]}] = w[i >> 2]")
@@ -614,7 +553,7 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
             cost += spm_extra
             memory += spm_stall
         elif kind == K_SW:
-            lines.append("w[i >> 2] = " + _WRAP.format(operand(3, "a")))
+            lines.append("w[i >> 2] = " + WRAP.format(operand(3, "a")))
             writes += 1
             cost += spm_extra
             memory += spm_stall
@@ -627,13 +566,17 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
                 lines.append(f"h({t[3]!r}, c + {cycles})")
             faults[len(lines) + 2] = fault
             ins = ", ".join(reg(index) for index in t[5])
-            lines.extend(_CIX.format(
-                outs=repr(t[4]), call=f"x({t[3]!r}, [{ins}])", regs="r",
-            ).splitlines())
+            lines.append(f"v = x({t[3]!r}, [{ins}])")
+            for position, out in enumerate(t[4]):
+                if out:
+                    lines.append(f"if len(v) > {position}:" if position
+                                 else "if v:")
+                    lines.append(f"    r[{out}] = "
+                                 + WRAP.format(f"v[{position}]"))
         cycles += cost
         instret = offset + 1
-        if kind in _CONDITIONS:
-            condition = _fill(_BRANCH, _CONDITIONS[kind], operand)
+        if kind in CONDITIONS:
+            condition = fill(BRANCH, CONDITIONS[kind], operand)
             lines.append(f"if {condition}:")
             lines.append(f"    return {leave(t[5], instret, penalty)}")
             lines.append(f"return {leave(pc + 1, instret)}")

@@ -16,8 +16,8 @@ to (instructions, stall buckets, cache misses/writebacks), so each
 compute segment carries an exact attribution and miss composition (the
 substrate of DRAM-latency what-ifs).
 
-``run_end`` finalizes the run; a ``deadlock``/``timeout``/``budget``
-outcome finalizes a *partial* graph whose blocked receives become
+``run_end`` finalizes the run; a ``deadlock``/``timeout``/``budget``/
+``fault`` outcome finalizes a *partial* graph whose blocked receives become
 frontier nodes instead of crashing the analysis.
 
 This module must not import :mod:`repro.telemetry` or the simulator —
@@ -173,7 +173,8 @@ class DependencyRecorder(Probe):
 
     def __init__(self, platform=None):
         self.records = []
-        self.outcome = None   # "complete" | "deadlock" | "timeout" | "budget"
+        # "complete" | "deadlock" | "timeout" | "budget" | "fault"
+        self.outcome = None
         self.snapshot = {}             # error snapshot for partial runs
         self.blocked = {}              # tile -> {"peer", "words", "cycles"}
         self.meta = {}
@@ -244,9 +245,9 @@ class DependencyRecorder(Probe):
         """Close every tile's timeline: its final compute segment + state.
 
         A core whose stop reason is ``halt`` ends finished; anything
-        else (a blocked receive, an exhausted round budget) yields a
-        ``blocked`` or ``cut`` terminal so partial graphs stay
-        analyzable.
+        else (a blocked receive, an exhausted round budget, a ``fault``
+        raised inside its slice) yields a ``blocked`` or ``cut``
+        terminal so partial graphs stay analyzable.
         """
         for core in cores:
             tile, cycles = core.core_id, core.cycles

@@ -87,7 +87,89 @@ NUM_KINDS = 39
 #: the third visit runs translated.
 TRANSLATE_VISITS = 3
 
-_OP_KIND = {
+# -- per-kind source templates ----------------------------------------------
+#
+# One definition of each op's fast form.  The block engine
+# (:mod:`repro.cpu.engine`) instantiates it into its cold step's ladder
+# (operands read from the code tuple) and into every translated block
+# (operands inlined as literals); the patch executor
+# (:mod:`repro.core.executor`) instantiates it into every lowered
+# configuration.  ``a``/``b`` read source operands, ``i`` is an
+# immediate.
+
+#: ``WRAP.format(x)`` is the source of ``wrap32(x)``.
+WRAP = "(({}) + 2147483648 & 4294967295) - 2147483648"
+_FLAG = "(1 if {} else 0)"
+
+# Code-tuple slots of each template operand (see ``_code_tuple``).
+_R3 = (("a", 4), ("b", 5))
+_RI = (("a", 4), ("i", 5))
+
+#: kind -> (operand slots, value, result form) for every op whose only
+#: effect is ``rd = value``.
+VALUES = {
+    K_ADDI: (_RI, "{a} + {i}", WRAP),
+    K_ADD: (_R3, "{a} + {b}", WRAP),
+    K_SUB: (_R3, "{a} - {b}", WRAP),
+    K_MUL: (_R3, "{a} * {b}", WRAP),
+    K_MULH: (_R3, "{a} * {b} >> 32", WRAP),
+    K_AND: (_R3, "{a} & {b}", WRAP),
+    K_OR: (_R3, "{a} | {b}", WRAP),
+    K_XOR: (_R3, "{a} ^ {b}", WRAP),
+    K_SLT: (_R3, "{a} < {b}", _FLAG),
+    K_SLTU: (_R3, "({a} & 4294967295) < ({b} & 4294967295)", _FLAG),
+    K_SEQ: (_R3, "{a} == {b}", _FLAG),
+    K_ANDI: (_RI, "{a} & {i}", WRAP),  # immediates pre-folded at decode
+    K_ORI: (_RI, "{a} | {i}", WRAP),
+    K_XORI: (_RI, "{a} ^ {i}", WRAP),
+    K_SLTI: (_RI, "{a} < {i}", _FLAG),
+    K_SLL: (_R3, "({a} & 4294967295) << ({b} & 31)", WRAP),
+    K_SRL: (_R3, "({a} & 4294967295) >> ({b} & 31)", WRAP),
+    K_SRA: (_R3, "{a} >> ({b} & 31)", WRAP),
+    K_SLLI: (_RI, "({a} & 4294967295) << {i}", WRAP),  # i pre-masked
+    K_SRLI: (_RI, "({a} & 4294967295) >> {i}", WRAP),
+    K_SRAI: (_RI, "{a} >> {i}", WRAP),
+    K_MOV: ((("a", 4),), "{a}", "{}"),
+    K_MOVI: ((("i", 4),), "{i}", "{}"),  # movi keeps its value unwrapped
+}
+
+#: Code-tuple slots of a branch's operands; its target is in slot 5.
+BRANCH = (("a", 3), ("b", 4))
+#: branch kind -> taken condition.
+CONDITIONS = {
+    K_BEQ: "{a} == {b}",
+    K_BNE: "{a} != {b}",
+    K_BLT: "{a} < {b}",
+    K_BGE: "{a} >= {b}",
+    K_BLTU: "({a} & 4294967295) < ({b} & 4294967295)",
+    K_BGEU: "({a} & 4294967295) >= ({b} & 4294967295)",
+}
+
+
+def fill(slots, template, operand):
+    """``template`` with each operand ``name`` at code-tuple ``slot``
+    replaced by ``operand(slot, name)``."""
+    return template.format(**{name: operand(slot, name)
+                              for name, slot in slots})
+
+
+def value_source(kind, operand):
+    """Source of the value a :data:`VALUES` kind writes to ``rd``."""
+    slots, value, form = VALUES[kind]
+    return form.format(fill(slots, value, operand))
+
+
+def window_test(base, end):
+    """Source of a test on ``i``, an address minus ``base``, that holds
+    when the access must take the checked path: unaligned, or outside
+    the scratchpad window ``[base, end)``."""
+    size = end - base
+    if not size or size & (size - 1) or base & 3:
+        return f"(i + {base & 3}) & 3 or not 0 <= i < {size}"
+    return f"i & {~(size - 4)}"  # one mask: unaligned, below or past
+
+
+OP_KIND = {
     Op.ADDI: K_ADDI, Op.LW: K_LW, Op.ADD: K_ADD, Op.SW: K_SW,
     Op.CIX: K_CIX, Op.MOVI: K_MOVI, Op.MUL: K_MUL, Op.MULH: K_MULH,
     Op.SUB: K_SUB, Op.AND: K_AND, Op.OR: K_OR, Op.XOR: K_XOR,
@@ -210,7 +292,7 @@ def _decode(program, core_params, mem_params, key):
         leaders[block.start] = True
     code = []
     for instr in program.instructions:
-        kind = _OP_KIND.get(instr.op)
+        kind = OP_KIND.get(instr.op)
         if kind is None:  # pragma: no cover - full ISA covered above
             raise NotImplementedError(f"opcode {instr.op}")
         words = instr.words

@@ -9,12 +9,13 @@ its operation class (Section III-A of the paper):
 * ``T`` — load/store to the local scratchpad,
 * moves are "wiring" and carry no class.
 
-Each register-form op's value is defined once, in :data:`OP_VALUE`:
-the CPU interpreter evaluates through :func:`eval_alu`,
-:func:`eval_shift` and :func:`eval_mul`, which dispatch through it, and
-the patch executor binds its entries per configured unit, so that a
-custom instruction is bit-identical to the software sequence it
-replaces.
+:data:`OP_VALUE` is the reference definition of each register-form
+op's value: the reference interpreter evaluates through
+:func:`eval_alu`, :func:`eval_shift` and :func:`eval_mul`, which
+dispatch through it, and the executor oracles in the test suite are
+written against it.  The block engine and the patch executor run each
+op's source template from :mod:`repro.isa.decoded` instead, which the
+differential suites hold to this definition.
 """
 
 import enum
@@ -276,10 +277,11 @@ def _mulh(lhs, rhs):
 
 #: The value function ``(lhs, rhs) -> value`` of every register-form A,
 #: S and M operation, on signed 32-bit operands (shift amounts use their
-#: low 5 bits).  The only definition of each op's value: the interpreter
-#: reaches it through :func:`eval_alu`, :func:`eval_shift` and
-#: :func:`eval_mul`, and the patch executor binds it per unit when it
-#: lowers a configuration.
+#: low 5 bits).  The reference definition of each op's value: the
+#: reference interpreter reaches it through :func:`eval_alu`,
+#: :func:`eval_shift` and :func:`eval_mul`.  The block engine and the
+#: patch executor generate code from :data:`repro.isa.decoded.VALUES`
+#: instead, and are held to this by differential tests.
 OP_VALUE = {
     Op.ADD: _add, Op.SUB: _sub, Op.AND: _and, Op.OR: _or, Op.XOR: _xor,
     Op.SLT: _slt, Op.SLTU: _sltu, Op.SEQ: _seq,

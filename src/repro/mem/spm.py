@@ -43,7 +43,9 @@ class Scratchpad:
         mirrors the ``reads``/``writes`` counters and stores wrapped
         32-bit values (what :func:`~repro.isa.instructions.wrap32`
         produces).  Anything unaligned or out of window must fall back
-        to the checked path so error behaviour is unchanged.
+        to the checked path so error behaviour is unchanged.  The list
+        is the same object for the scratchpad's whole life, so a holder
+        may keep it across runs.
         """
         return self._words, self.base, self.base + self.size_bytes, self.latency
 
@@ -76,4 +78,4 @@ class Scratchpad:
         return list(self._words[index:index + count])
 
     def clear(self):
-        self._words = [0] * (self.size_bytes // 4)
+        self._words[:] = [0] * len(self._words)  # the window's list stays

@@ -123,9 +123,11 @@ class Probe:
                 rollup=None):
         """The run is over: ``reasons`` maps each core to its last stop
         reason, ``outcome`` is complete | deadlock | timeout | budget
-        (with the error's ``snapshot``).  ``energy`` prices time-series
-        intervals (None: the default chip); ``rollup`` is a clean
-        co-simulation's :class:`~repro.telemetry.SystemStats`."""
+        (with the error's ``snapshot``) | fault (a core's slice raised;
+        that core's reason is ``fault``, and ``snapshot`` is the
+        exception's when it carries one).  ``energy`` prices
+        time-series intervals (None: the default chip); ``rollup`` is a
+        clean co-simulation's :class:`~repro.telemetry.SystemStats`."""
 
     # -- chaos ------------------------------------------------------------
 

@@ -15,7 +15,8 @@ rates, NoC/fabric/patch counters).  Pass ``telemetry=True`` (a
 :class:`repro.telemetry.Telemetry` bundle) or any other
 :class:`repro.probe.Probe` to also observe the run across the whole
 stack; the probe's ``run_end`` hook closes every run, also one that
-ends in a deadlock, a watchdog timeout or an exhausted round budget.
+ends in a deadlock, a watchdog timeout, an exhausted round budget or
+an exception raised inside a tile's slice.
 """
 
 import dataclasses
@@ -206,7 +207,17 @@ class StitchSystem:
             next_pending = []
             for core in pending:
                 retired_before = core.instret
-                outcome = core.run(max_instructions=max_instructions_per_slice)
+                try:
+                    outcome = core.run(
+                        max_instructions=max_instructions_per_slice)
+                except Exception as error:
+                    # A cix stall, corrupted channel, runaway pc or LMAU
+                    # fault: the probe still closes the run, with this
+                    # core cut where it stopped.
+                    reasons[core] = "fault"
+                    self._end(live, reasons, "fault",
+                              getattr(error, "snapshot", None))
+                    raise
                 reasons[core] = outcome.reason
                 if core.instret > retired_before or outcome.reason == STOP_HALT:
                     progressed = True

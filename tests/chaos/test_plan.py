@@ -32,6 +32,9 @@ class TestFault:
         (Fault("spm", addr=0x1001), "C004"),
         (Fault("link", src=-1), "C003"),
         (Fault("link", delay=-5), "C003"),
+        (Fault("reg", reg=0), "C003"),  # r0 is hardwired zero
+        (Fault("reg", reg=16), "C003"),
+        (Fault("reg", reg=-1), "C003"),
     ])
     def test_site_validation(self, fault, code):
         codes = [c for c, _, _ in fault.issues("fault[0]")]

@@ -1,5 +1,8 @@
 """Unit tests for functional patch execution (single and fused)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
@@ -12,6 +15,8 @@ from repro.core import (
     TMode,
     UnitConfig,
 )
+from repro.core import executor as executor_module
+from repro.core.config import CONTROL_BITS
 from repro.core.executor import evaluate_fused, evaluate_patch
 from repro.core.units import Source
 from repro.isa import Op
@@ -210,3 +215,57 @@ class TestPatchExecutor:
         executor = PatchExecutor([], MemorySystem.stitch())
         with pytest.raises(IndexError):
             executor.execute(0, [1])
+
+
+def _lmau_pair():
+    """A load patch and a fused pair whose B half stores."""
+    load = PatchConfig(
+        AT_MA, u0=UnitConfig(Op.ADD, Source.EXT0, Source.EXT1), t=TMode.LOAD)
+    store = PatchConfig(AT_AS, t=TMode.STORE_DATA_CHAIN)
+    fused = FusedConfig(load, store, b_ext=("a_out0", "ext1", "ext2", "ext3"),
+                        outs=("b_out0", "a_out1"))
+    return [load, fused]
+
+
+class TestGeneratedCode:
+    def test_equal_configurations_share_one_code_object(self):
+        runs = []
+        for _ in range(2):
+            memory = MemorySystem.stitch()
+            executor = PatchExecutor(_lmau_pair(), memory,
+                                     replica_memory=MemorySystem.stitch())
+            runs.append([run for run, _, _ in executor._lowered])
+        for first, second in zip(*runs):
+            assert first is not second  # each binds its own memories
+            assert first.__code__ is second.__code__
+
+    def test_the_code_cache_is_bounded(self):
+        bound = executor_module.CODE_CACHE_SIZE
+        configs = []
+        for word in range(1 << CONTROL_BITS):
+            try:
+                cfg = PatchConfig.decode(AT_MA, word)
+            except ValueError:
+                continue
+            if cfg.encode() == word:
+                configs.append(cfg)
+            if len(configs) > bound:
+                break
+        executor = PatchExecutor(configs, MemorySystem.stitch())
+        assert len({run.__code__ for run, _, _ in executor._lowered}) > bound
+        assert executor_module._factory.cache_info().currsize <= bound
+
+    def test_executors_and_memories_die_without_gc(self):
+        gc.disable()
+        try:
+            memory, replica = MemorySystem.stitch(), MemorySystem.stitch()
+            executor = PatchExecutor(_lmau_pair(), memory,
+                                     replica_memory=replica)
+            for cfg_id in (0, 1, 0, 1):
+                executor.execute(cfg_id, [SPM_BASE, 8, SPM_BASE + 12])
+            assert replica.spm.writes == 2
+            refs = [weakref.ref(obj) for obj in (executor, memory, replica)]
+            del executor, memory, replica
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()

@@ -17,9 +17,11 @@ from repro.cpu.core import (
     STOP_LIMIT,
     STOP_RECV,
 )
-from repro.cpu.engine import _CONDITIONS, _VALUES, _fill
 from repro.isa.decoded import (
-    _OP_KIND,
+    CONDITIONS as _CONDITIONS,
+    OP_KIND as _OP_KIND,
+    VALUES as _VALUES,
+    fill as _fill,
     FIRST_CONTROL,
     K_BGEU,
     K_CIX,

@@ -11,7 +11,8 @@ instructions through a :class:`PatchExecutor`, on the default memory
 and off its latencies.  The block engine's own corners follow: limit
 stops inside translated blocks, blocking receives, runaway pcs, memory
 accesses that leave the SPM window, shared translations (hooked ones
-keyed apart) and a ``cix`` raising inside a block.
+keyed apart), a ``cix`` raising inside a block, and a ``cix`` whose
+results do not match its out registers.
 
 Any timing-model edit that touches only one loop fails here first.
 """
@@ -27,6 +28,7 @@ from repro.cpu.core import (
     CommPort,
     Core,
     ExecutionError,
+    PatchPort,
     STOP_HALT,
     STOP_LIMIT,
     STOP_RECV,
@@ -585,3 +587,60 @@ def test_cix_raising_inside_a_translated_block(bad_patch):
     # pc, cycles and instret at the cix, with its fetch and cix_retired
     # charged: every counter matches the reference.
     assert states["fast"] == states["reference"]
+
+
+class _ScriptedPatch(PatchPort):
+    """A patch whose results are a script of its first operand: config
+    0 returns one value, config 1 three, config 2 two values past the
+    signed 32-bit range."""
+
+    def __init__(self):
+        self.executions = 0
+        self.fused_executions = 0
+        self.calls = []
+
+    def execute(self, cfg_id, in_values):
+        self.executions += 1
+        self.calls.append((cfg_id, list(in_values)))
+        a = in_values[0]
+        if cfg_id == 0:
+            return [3 * a + 1]
+        if cfg_id == 1:
+            return [a + 7, a - 7, a ^ 5]
+        return [a * 0x1_0000_0003 + (1 << 31), -(1 << 40) - a]
+
+
+#: Thirty trips of a loop of ``cix`` whose results are shorter or
+#: longer than their out registers, or overflow 32 bits into outs that
+#: name r0.
+SCRIPTED = """
+    movi r1, 1
+    movi r2, 30
+    movi r4, 99
+loop:
+    cix  0, (r3, r4), (r1)
+    cix  1, (r5), (r3)
+    cix  2, (r0, r6), (r1)
+    cix  2, (r7, r0), (r5)
+    add  r1, r1, r6
+    addi r2, r2, -1
+    bne  r2, r0, loop
+    halt
+"""
+
+
+def test_scripted_cix_results_inside_translated_blocks():
+    runs = {}
+    for engine in ENGINES:
+        patch = _ScriptedPatch()
+        core = Core(assemble(SCRIPTED), MemorySystem.stitch(), patch=patch,
+                    engine=engine)
+        assert core.run().reason == STOP_HALT
+        runs[engine] = (core_state(core), patch.calls)
+        if engine != "reference":
+            assert translated(core) == {3: 7}
+    assert runs["fast"] == runs["reference"]
+    assert runs["instrumented"] == runs["reference"]
+    regs = runs["reference"][0]["regs"]
+    assert regs[0] == 0 and regs[4] == 99  # one value leaves r4 alone
+    assert len(runs["reference"][1]) == 4 * 30

@@ -273,12 +273,12 @@ def test_cix_hook_raising_inside_a_translated_block(name, option):
         assert hooked["stop"].startswith("HookError")
 
 
-#: Reg flips (r0 among them, which reads flipped for one instruction),
-#: an SPM flip and a freeze, with and without ECC.
+#: Reg flips (r1 and r15, the link register, among them), an SPM flip
+#: and a freeze, with and without ECC.  A plan naming r0 is rejected.
 CHAOS_FAULTS = (
     Fault("reg", cycle=300, reg=3, bit=5),
-    Fault("reg", cycle=900, reg=0, bit=2),
-    Fault("reg", cycle=1400, reg=16, bit=0),
+    Fault("reg", cycle=900, reg=1, bit=2),
+    Fault("reg", cycle=1400, reg=15, bit=0),
     Fault("spm", cycle=2000, addr=SPM_BASE + 8, bit=7),
     Fault("reg", cycle=2600, reg=9, bit=30),
     Fault("freeze", cycle=6000),

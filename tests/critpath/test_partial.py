@@ -1,18 +1,24 @@
 """Partial-graph finalization: deadlocks, watchdog timeouts, exhausted
-round budgets and dropped messages."""
+round budgets, exceptions inside a tile's slice and dropped messages."""
+
+import pytest
 
 from repro.chaos import Fault, InjectionPlan, Injector
+from repro.cpu.core import ExecutionError
 from repro.critpath import DependencyRecorder
 from repro.critpath.recorder import (
     KIND_BLOCKED,
     KIND_CUT,
+    KIND_HALT,
     KIND_RECV,
     KIND_SEND,
 )
 from repro.critpath.runner import record_system
 from repro.isa import assemble
-from repro.probe import combine
+from repro.probe import Probe, combine
 from repro.sim import StitchSystem
+from repro.telemetry import TimeSeries
+from repro.telemetry.timeseries import core_counters
 from repro.verify import Report, check_critpath
 
 
@@ -211,3 +217,51 @@ class TestDroppedSend:
         check_critpath(run.graph, run.analysis, measured=run.measured,
                        report=report)
         assert not report.errors()
+
+
+class _RunEnds(Probe):
+    """Keeps each ``run_end``'s outcome and per-tile reasons."""
+
+    def __init__(self):
+        self.calls = []
+
+    def run_end(self, cores, reasons, outcome, snapshot=None, energy=None,
+                rollup=None):
+        self.calls.append(
+            (outcome, {core.core_id: reasons[core] for core in cores}))
+
+
+def faulting_run():
+    """Tile 1 loops, then runs off the end of its program; tile 0 halts."""
+    halter = assemble("movi r1, 5\nhalt")
+    runaway = assemble("movi r2, 40\nloop: addi r1, r1, 3\n"
+                       "addi r2, r2, -1\nbne r2, r0, loop\naddi r1, r1, 1")
+    series, recorder, ends = TimeSeries(64), DependencyRecorder(), _RunEnds()
+    system = StitchSystem(telemetry=combine(series, recorder, ends))
+    system.load(0, halter)
+    system.load(1, runaway)
+    with pytest.raises(ExecutionError):
+        system.run()
+    return system, series, recorder, ends
+
+
+class TestFaultInsideASlice:
+    def test_run_end_closes_the_run_with_a_fault(self):
+        _, _, recorder, ends = faulting_run()
+        assert ends.calls == [("fault", {0: "halt", 1: "fault"})]
+        assert recorder.outcome == "fault"
+
+    def test_the_faulting_tile_is_cut(self):
+        _, _, recorder, _ = faulting_run()
+        terminals = {r.tile: r.kind for r in recorder.records
+                     if r.kind in (KIND_HALT, KIND_CUT, KIND_BLOCKED)}
+        assert terminals == {0: KIND_HALT, 1: KIND_CUT}
+
+    def test_interval_sums_equal_the_tiles_counters(self):
+        system, series, _, _ = faulting_run()
+        for tile in (0, 1):
+            totals = series.tile_totals(tile)
+            counters = core_counters(system.cores[tile])
+            assert {field: totals.get(field, 0) for field in counters} \
+                == counters
+        assert len(series.tile_series(1)) > 1  # several 64-cycle intervals

@@ -43,9 +43,11 @@ class TestScratchpad:
 
     def test_clear(self):
         spm = Scratchpad()
+        words = spm.window()[0]
         spm.write_word(SPM_BASE, 7)
         spm.clear()
         assert spm.read_word(SPM_BASE) == 0
+        assert spm.window()[0] is words  # held by patch executors
 
     def test_stats_count_accesses(self):
         spm = Scratchpad()
