@@ -144,11 +144,11 @@ def cmd_run(args):
     from repro.mem import MemorySystem
     from repro.telemetry import ATTRIBUTION_BUCKETS
 
-    with open(args.file) as handle:
-        try:
-            program = assemble(handle.read(), name=args.file)
-        except AssemblerError as exc:
-            sys.exit(str(exc))
+    try:
+        program = assemble(_read_text(args.file, "source file"),
+                           name=args.file)
+    except AssemblerError as exc:
+        sys.exit(str(exc))
     telemetry = _telemetry(args)
     core = Core(program, MemorySystem.stitch(), probe=telemetry)
     outcome = core.run(max_instructions=args.max_instructions)
@@ -460,8 +460,7 @@ def cmd_verify(args):
         app = APP_FACTORIES[target.upper()](seed=args.seed)
         report = verify_app(app, deep=deep)
     elif os.path.isfile(target):
-        with open(target) as handle:
-            source = handle.read()
+        source = _read_text(target, "source file")
         report = verify_source(source, name=target, deep=deep)
         from repro.isa.assembler import AssemblerError, assemble
 
@@ -491,21 +490,41 @@ def cmd_verify(args):
         sys.exit(code)
 
 
+def _read_text(path, what):
+    """The text of ``path``; one line and exit 1 if it cannot be read."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        sys.exit(f"cannot read {what} {path!r}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        sys.exit(f"cannot read {what} {path!r}: not text ({exc.reason})")
+
+
+def _read_json(path, what):
+    """The JSON document in ``path``; one line and exit 1 if it cannot be
+    read or parsed."""
+    import json
+
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        sys.exit(f"{what} {path!r} is not valid JSON: {exc}")
+
+
 def _load_platform(spec):
     """Resolve ``spec`` (preset name or JSON file) to a PlatformConfig.
 
     Validation is deferred to the caller — the verify command wants to
     *report* inconsistencies, not crash on them.
     """
-    import json
-
     from repro.platform import PRESET_NAMES, PlatformConfig, get_preset
 
     if spec in PRESET_NAMES:
         return get_preset(spec)
     if os.path.isfile(spec):
-        with open(spec) as handle:
-            return PlatformConfig.from_dict(json.load(handle), validate=False)
+        return PlatformConfig.from_dict(_read_json(spec, "platform file"),
+                                        validate=False)
     sys.exit(
         f"unknown platform {spec!r}: not a preset ({list(PRESET_NAMES)}) "
         f"or an existing JSON file"
@@ -634,12 +653,6 @@ def cmd_bench(args):
         payloads["BENCH_fig12.json"] = bench_fig12(
             apps, seed=args.seed, workers=args.workers
         )
-    if args.host:
-        from repro.analysis.hostbench import bench_host, render_host
-
-        print("bench host (simulated-instr/s, reference vs fast engine)...")
-        payloads["BENCH_host.json"] = bench_host(seed=args.seed)
-        print(render_host(payloads["BENCH_host.json"]))
     for filename, payload in payloads.items():
         path = os.path.join(args.out, filename)
         write_bench(payload, path)
@@ -652,16 +665,9 @@ def cmd_bench(args):
         if not os.path.isfile(baseline_path):
             print(f"{filename}: no baseline at {baseline_path}, skipping")
             continue
-        if filename == "BENCH_host.json":
-            from repro.analysis.hostbench import compare_host
-
-            regressions, notes = compare_host(
-                payload, load_bench(baseline_path)
-            )
-        else:
-            regressions, notes = compare_bench(
-                payload, load_bench(baseline_path), tolerance=args.tolerance
-            )
+        regressions, notes = compare_bench(
+            payload, load_bench(baseline_path), tolerance=args.tolerance
+        )
         for note in notes:
             print(f"{filename}: note: {note}")
         for regression in regressions:
@@ -728,8 +734,7 @@ def cmd_sweep(args):
 
 
 def cmd_chaos(args):
-    import json
-
+    from repro.chaos import InjectionPlan, InjectionPlanError
     from repro.chaos.campaign import (
         campaign_points,
         campaign_report,
@@ -743,8 +748,11 @@ def cmd_chaos(args):
     recovery = "none" if args.no_recovery else "full"
     sites = args.sites.split(",") if args.sites else None
     if args.plan:
-        with open(args.plan) as handle:
-            plan_dict = json.load(handle)
+        plan_dict = _read_json(args.plan, "injection plan")
+        try:  # a plan every point would reject fails here, once
+            InjectionPlan.from_dict(plan_dict)
+        except (InjectionPlanError, TypeError, AttributeError) as exc:
+            sys.exit(f"injection plan {args.plan!r}: {exc}")
         config_dict = DEFAULT_PLATFORM.to_dict()
         points = [
             {
@@ -1042,11 +1050,6 @@ def main(argv=None):
     )
     p_bench.add_argument("--skip-fig11", action="store_true")
     p_bench.add_argument("--skip-fig12", action="store_true")
-    p_bench.add_argument(
-        "--host", action="store_true",
-        help="also measure host-side simulated-instr/s (reference vs "
-             "fast engine) into BENCH_host.json",
-    )
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument(
         "--workers", type=int,

@@ -26,6 +26,7 @@ import math
 
 from repro.chaos.plan import InjectionPlan
 from repro.probe import NULL_PROBE, Probe
+from repro.sim.system import SnapshotError
 
 
 def _checksum_words(values):
@@ -40,16 +41,12 @@ class ChaosError(RuntimeError):
     """Base class of loud fault detections raised by recovery policies."""
 
 
-class ChannelCorruptionError(ChaosError):
+class ChannelCorruptionError(ChaosError, SnapshotError):
     """Corrupted channel words outlived the bounded retry budget.
 
     ``snapshot`` mirrors the deadlock vocabulary: the receiving tile,
     the peer, and the words that failed verification.
     """
-
-    def __init__(self, message, snapshot=None):
-        super().__init__(message)
-        self.snapshot = snapshot if snapshot is not None else {}
 
 
 class CixStallError(ChaosError):

@@ -22,7 +22,7 @@ an exception raised inside a tile's slice.
 import dataclasses
 
 from repro.core.executor import PatchExecutor
-from repro.cpu.core import Core, STOP_FROZEN, STOP_HALT, STOP_RECV
+from repro.cpu.core import Core, STOP_FROZEN, STOP_HALT, STOP_LIMIT, STOP_RECV
 from repro.isa.instructions import Op
 from repro.mem.hierarchy import MemorySystem
 from repro.mpi.runtime import MessagePassing
@@ -190,7 +190,10 @@ class StitchSystem:
         """Run all tiles to completion; returns :class:`RunResults`."""
         live = [core for core in self.cores if core is not None]
         cache_baseline = self._cache_counters()
-        reasons = {core: STOP_HALT for core in live}
+        # A core this run never reaches keeps its seed: halted only if it
+        # already was, else cut where it stands.
+        reasons = {core: STOP_HALT if core.halted else STOP_LIMIT
+                   for core in live}
         blocked = {}     # core -> words pending toward it when it blocked
         blocked_at = {}  # core -> its cycle count when it blocked
         pending = list(live)

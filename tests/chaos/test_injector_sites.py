@@ -16,7 +16,7 @@ from repro.cpu import Core, PatchPort, STOP_FROZEN, STOP_HALT
 from repro.isa import assemble
 from repro.mem import MemorySystem, SPM_BASE
 from repro.probe import NULL_PROBE
-from repro.sim import DeadlockError, StitchSystem
+from repro.sim import DeadlockError, SnapshotError, StitchSystem
 
 
 def make_core(source, injector=None, engine="auto"):
@@ -292,5 +292,6 @@ class TestFabricFaults:
         injector = Injector(plan_of(*faults, recovery=recovery))
         with pytest.raises(ChannelCorruptionError) as exc:
             self.run_pair(injector)
+        assert isinstance(exc.value, SnapshotError)
         assert exc.value.snapshot["words_corrupted"] == 2
         assert exc.value.snapshot["tile"] == 1

@@ -224,6 +224,28 @@ def test_fast_loop_is_actually_faster():
     assert any(core._resident)
 
 
+#: Instructions each kernel of the engine speed guard
+#: (benchmarks/interp_speed.py) retires at seed 1 on the Stitch tile
+#: memory; the guard's fourth target, APP4 (401,692), is pinned tile by
+#: tile by perfbench's exact co-sim gate.
+PINNED_INSTRUCTIONS = [("fir", 9_725), ("fft", 6_101), ("2dconv", 16_119)]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name,instructions", PINNED_INSTRUCTIONS,
+                         ids=[name for name, _ in PINNED_INSTRUCTIONS])
+def test_pinned_instruction_counts(name, instructions, engine):
+    # The count gate of the speed guard, which times only the ratio: a
+    # workload whose count drifts would turn a changed program into a
+    # changed speed.
+    kernel = make_kernel(name, seed=1)
+    core = Core(kernel.program, MemorySystem.stitch(), engine=engine)
+    kernel.setup(core)
+    outcome = core.run(max_instructions=20_000_000)
+    assert core.selected_engine() == engine
+    assert (outcome.reason, core.instret) == (STOP_HALT, instructions)
+
+
 # -- block engine corners ----------------------------------------------------
 
 def core_state(core):

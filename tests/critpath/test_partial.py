@@ -1,9 +1,10 @@
 """Partial-graph finalization: deadlocks, watchdog timeouts, exhausted
-round budgets, exceptions inside a tile's slice and dropped messages."""
+round budgets, exceptions inside a tile's slice, dropped messages and
+tiles a cut-short run never reached."""
 
 import pytest
 
-from repro.chaos import Fault, InjectionPlan, Injector
+from repro.chaos import Fault, InjectionPlan, Injector, RecoveryParams
 from repro.cpu.core import ExecutionError
 from repro.critpath import DependencyRecorder
 from repro.critpath.recorder import (
@@ -16,7 +17,7 @@ from repro.critpath.recorder import (
 from repro.critpath.runner import record_system
 from repro.isa import assemble
 from repro.probe import Probe, combine
-from repro.sim import StitchSystem
+from repro.sim import RoundBudgetError, StitchSystem
 from repro.telemetry import TimeSeries
 from repro.telemetry.timeseries import core_counters
 from repro.verify import Report, check_critpath
@@ -33,30 +34,37 @@ def deadlocked_run():
     return record_system("deadlock-pair", system, recorder)
 
 
+PRODUCER = """
+    movi r1, 1
+    movi r2, 0x100
+    movi r3, 2
+    movi r4, 42
+    sw   r4, 0(r2)
+    sw   r4, 4(r2)
+    send r1, r2, r3
+    halt
+"""
+CONSUMER = """
+    movi r1, 0
+    movi r2, 0x200
+    movi r3, 2
+    recv r1, r2, r3
+    halt
+"""
+
+
+def handshake(telemetry):
+    """Tile 0 sends two words to tile 1."""
+    system = StitchSystem(telemetry=telemetry)
+    system.load(0, assemble(PRODUCER))
+    system.load(1, assemble(CONSUMER))
+    return system
+
+
 def budget_cut_run():
     """A handshake cut off by a budget too small for one round trip."""
-    producer = assemble("""
-        movi r1, 1
-        movi r2, 0x100
-        movi r3, 2
-        movi r4, 42
-        sw   r4, 0(r2)
-        sw   r4, 4(r2)
-        send r1, r2, r3
-        halt
-    """)
-    consumer = assemble("""
-        movi r1, 0
-        movi r2, 0x200
-        movi r3, 2
-        recv r1, r2, r3
-        halt
-    """)
-    telemetry = recorder = DependencyRecorder()
-    system = StitchSystem(telemetry=telemetry)
-    system.load(0, producer)
-    system.load(1, consumer)
-    return record_system("budget-cut", system, recorder,
+    recorder = DependencyRecorder()
+    return record_system("budget-cut", handshake(recorder), recorder,
                          max_instructions_per_slice=1, max_rounds=2)
 
 
@@ -219,6 +227,33 @@ class TestDroppedSend:
         assert not report.errors()
 
 
+def corrupted_run():
+    """Both handshake words arrive corrupted, past a one-retry budget."""
+    faults = tuple(Fault("channel", src=0, dst=1, index=0, word=word, bit=2)
+                   for word in range(2))
+    plan = InjectionPlan(name="corrupt", faults=faults,
+                         recovery=RecoveryParams(max_retries=1))
+    recorder = DependencyRecorder()
+    system = handshake(combine(recorder, Injector(plan)))
+    return record_system("corrupted", system, recorder)
+
+
+class TestChannelCorruption:
+    def test_run_is_partial_with_fault_outcome(self):
+        run = corrupted_run()
+        assert run.partial
+        assert type(run.error).__name__ == "ChannelCorruptionError"
+        assert run.graph.outcome == "fault"
+        assert run.graph.snapshot["words_corrupted"] == 2
+
+    def test_the_receiving_tile_is_cut(self):
+        run = corrupted_run()
+        terminals = {r.tile: r.kind for r in run.graph.records
+                     if r.kind in (KIND_HALT, KIND_CUT, KIND_BLOCKED)}
+        assert terminals == {0: KIND_HALT, 1: KIND_CUT}
+        assert run.analysis.reconciled()
+
+
 class _RunEnds(Probe):
     """Keeps each ``run_end``'s outcome and per-tile reasons."""
 
@@ -265,3 +300,44 @@ class TestFaultInsideASlice:
             assert {field: totals.get(field, 0) for field in counters} \
                 == counters
         assert len(series.tile_series(1)) > 1  # several 64-cycle intervals
+
+
+def terminals(recorder):
+    """Each tile's closing record as ``(tile, kind, cycle)``."""
+    return [(r.tile, r.kind, r.end) for r in recorder.records
+            if r.kind in (KIND_HALT, KIND_CUT, KIND_BLOCKED)]
+
+
+HALTER = "movi r1, 5\nhalt"
+
+
+class TestTileTheRunNeverReached:
+    def test_a_fault_ahead_of_it_cuts_it_at_cycle_0(self):
+        recorder, ends = DependencyRecorder(), _RunEnds()
+        system = StitchSystem(telemetry=combine(recorder, ends))
+        system.load(0, assemble("movi r1, 5\naddi r1, r1, 1"))  # no halt
+        system.load(1, assemble(HALTER))
+        with pytest.raises(ExecutionError):
+            system.run()
+        assert ends.calls == [("fault", {0: "fault", 1: "limit"})]
+        assert terminals(recorder) == [(0, KIND_CUT, 32), (1, KIND_CUT, 0)]
+
+    def test_a_zero_round_budget_cuts_every_tile(self):
+        recorder = DependencyRecorder()
+        system = StitchSystem(telemetry=recorder)
+        for tile in (0, 1):
+            system.load(tile, assemble(HALTER))
+        with pytest.raises(RoundBudgetError):
+            system.run(max_rounds=0)
+        assert recorder.outcome == "budget"
+        assert terminals(recorder) == [(0, KIND_CUT, 0), (1, KIND_CUT, 0)]
+
+    def test_a_tile_that_already_halted_stays_halted(self):
+        ends = _RunEnds()
+        system = StitchSystem(telemetry=ends)
+        for tile in (0, 1):
+            system.load(tile, assemble(HALTER))
+        system.run()
+        with pytest.raises(RoundBudgetError):
+            system.run(max_rounds=0)
+        assert ends.calls[-1] == ("budget", {0: "halt", 1: "halt"})

@@ -74,6 +74,59 @@ class TestCli:
             main([])
 
 
+class TestBadInputFiles:
+    """A missing, malformed or rejected input file ends in one line and
+    exit 1 before any work starts, never in a traceback."""
+
+    def one_line_exit(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("argv,what", [
+        (["run"], "source file"),
+        (["chaos", "fir", "--plan"], "injection plan"),
+    ], ids=["run", "chaos"])
+    def test_missing_file(self, tmp_path, argv, what):
+        path = str(tmp_path / "missing")
+        message = self.one_line_exit(argv + [path])
+        assert message == f"cannot read {what} {path!r}: No such file or directory"
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_binary_source(self, tmp_path, command):
+        path = tmp_path / "prog.s"
+        path.write_bytes(b"\xff\xfe movi r1, 1")
+        message = self.one_line_exit([command, str(path)])
+        assert message.startswith(f"cannot read source file {str(path)!r}")
+
+    @pytest.mark.parametrize("argv,what", [
+        (["sweep", "--config"], "platform file"),
+        (["verify", "--platform"], "platform file"),
+        (["chaos", "fir", "--plan"], "injection plan"),
+    ], ids=["sweep", "verify", "chaos"])
+    def test_malformed_json(self, tmp_path, argv, what):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        message = self.one_line_exit(argv + [str(path)])
+        assert message.startswith(f"{what} {str(path)!r} is not valid JSON")
+
+    def test_chaos_rejected_plan_fails_before_the_sweep(self, tmp_path,
+                                                        monkeypatch):
+        from repro.sweep import runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_sweep started")
+
+        monkeypatch.setattr(runner, "run_sweep", refuse)
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"name": "p", "faults": [{"site": "reg", "reg": 0}]}')
+        message = self.one_line_exit(["chaos", "fir", "--plan", str(plan)])
+        assert message.startswith(f"injection plan {str(plan)!r}")
+        assert "register r0 outside r1..r15" in message
+
+
 KERNEL_SOURCE = """\
     movi r1, 0x100
     movi r5, 0
