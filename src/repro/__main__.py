@@ -292,7 +292,7 @@ def cmd_critpath(args):
     from repro.critpath.runner import record_target, validate_whatif
     from repro.verify import check_critpath
 
-    platform = _load_platform(args.platform) if args.platform else None
+    platform = _valid_platform(args.platform) if args.platform else None
     try:
         run = record_target(args.target, seed=args.seed, items=args.items,
                             platform=platform)
@@ -531,6 +531,20 @@ def _load_platform(spec):
     )
 
 
+def _valid_platform(spec):
+    """:func:`_load_platform`, validated: a file that names an unknown
+    group or field, or fails ``validate()``, ends in one line and exit
+    1 (``verify --platform`` reports the same issues instead)."""
+    from repro.platform import PlatformConfigError
+
+    try:
+        return _load_platform(spec).validate()
+    except PlatformConfigError as exc:
+        issues = "; ".join(f"{code} @ {loc}: {message}"
+                           for code, loc, message in exc.issues)
+        sys.exit(f"platform file {spec!r} rejected: {issues}")
+
+
 def _verify_platform(spec):
     from repro.platform import PlatformConfigError
     from repro.verify import Report, check_platform
@@ -687,8 +701,7 @@ def cmd_sweep(args):
     if args.smoke:
         points = smoke_points()
     elif args.config:
-        config = _load_platform(args.config)
-        config.validate()
+        config = _valid_platform(args.config)
         print(config.describe())
         points = [
             {
@@ -734,6 +747,8 @@ def cmd_sweep(args):
 
 
 def cmd_chaos(args):
+    import json
+
     from repro.chaos import InjectionPlan, InjectionPlanError
     from repro.chaos.campaign import (
         campaign_points,
@@ -745,14 +760,19 @@ def cmd_chaos(args):
     from repro.verify import check_campaign
 
     targets = args.targets or ["fir", "fft", "2dconv", "APP1"]
-    recovery = "none" if args.no_recovery else "full"
+    recovery = shown = "none" if args.no_recovery else "full"
     sites = args.sites.split(",") if args.sites else None
     if args.plan:
+        if args.no_recovery:
+            sys.exit("chaos: --no-recovery does not apply to --plan: each "
+                     "point runs the plan's own recovery block")
         plan_dict = _read_json(args.plan, "injection plan")
         try:  # a plan every point would reject fails here, once
-            InjectionPlan.from_dict(plan_dict)
+            plan = InjectionPlan.from_dict(plan_dict)
         except (InjectionPlanError, TypeError, AttributeError) as exc:
             sys.exit(f"injection plan {args.plan!r}: {exc}")
+        recovery = plan.recovery.to_dict()
+        shown = json.dumps(recovery)
         config_dict = DEFAULT_PLATFORM.to_dict()
         points = [
             {
@@ -768,7 +788,7 @@ def cmd_chaos(args):
                                  recovery=recovery, sites=sites)
     workers = args.workers
     print(f"chaos: {len(points)} point(s) over {', '.join(targets)}, "
-          f"recovery {recovery}, "
+          f"recovery {shown}, "
           f"{'serial' if not workers or workers <= 1 else f'{workers} workers'}")
 
     def build_report(fanout):
@@ -1115,7 +1135,8 @@ def main(argv=None):
     )
     p_chaos.add_argument(
         "--no-recovery", action="store_true",
-        help="disarm every detection/recovery policy (faults land raw)",
+        help="disarm every detection/recovery policy (faults land raw); "
+             "not with --plan, whose own recovery block applies",
     )
     p_chaos.add_argument(
         "--workers", type=int,

@@ -5,7 +5,8 @@ Each selected mapping's member instructions are contracted into one
 WAR / WAW plus a conservative total order over memory, communication
 and control operations); list scheduling re-emits the block.  A cycle
 after contraction means the candidate cannot be placed safely — the
-selector treats that as infeasible.
+selector treats that as infeasible, testing it on the graph's
+transitive closure (:class:`Schedule`) rather than by rewriting.
 
 Immediate operands of custom instructions are materialized once, into
 registers the program never otherwise touches, by an entry-block
@@ -123,18 +124,93 @@ def _build_dependences(instructions):
 
 
 def _block_dependences(block, placements):
-    """``block``'s dependence edges, kept on the placements' DFG.
-
-    Selection trial-rewrites a block once per candidate it tests, and
-    every option of a kernel rewrites the same blocks, so the edges are
-    built once per DFG and shared by all of those rewrites.
-    """
+    """``block``'s dependence edges, kept on the placements' DFG."""
     if not placements:
         return _build_dependences(block.instructions)
-    dfg = placements[0][0].candidate.dfg
+    return _dependence_graph(placements[0][0].candidate.dfg)[0]
+
+
+def _dependence_graph(dfg):
+    """``(edges, closure)`` of ``dfg``'s block, built once per DFG.
+
+    ``closure[i]`` has bit ``j`` set when a path of edges leads from
+    position ``i`` to position ``j``.  Every option of a kernel selects
+    over and rewrites the same blocks, so both are shared.
+    """
     if dfg.dependences is None:
-        dfg.dependences = frozenset(_build_dependences(block.instructions))
-    return dfg.dependences
+        edges = _build_dependences(dfg.block.instructions)
+        closure = [0] * len(dfg.block.instructions)
+        # Every edge points forward, so by the time an edge's source is
+        # reached its target's closure is complete.
+        for src, dst in sorted(edges, reverse=True):
+            closure[src] |= closure[dst] | 1 << dst
+        dfg.dependences = frozenset(edges)
+        dfg.dependence_closure = tuple(closure)
+    return dfg.dependences, dfg.dependence_closure
+
+
+class Schedule:
+    """Which candidates one block can still contract without a cycle.
+
+    It holds the block's dependence closure with the candidates accepted
+    so far contracted, and answers what a :func:`rewrite_block` of those
+    candidates plus one more would, without rewriting.
+    """
+
+    def __init__(self, dfg):
+        self.dfg = dfg
+        self.reach = list(_dependence_graph(dfg)[1])
+
+    def _members(self, candidate):
+        """The candidate's block positions as a bitset."""
+        nodes = self.dfg.nodes
+        members = 0
+        for node_id in candidate.node_ids:
+            members |= 1 << nodes[node_id].pos
+        return members
+
+    def _after(self, members):
+        """The positions following any of ``members``."""
+        reach = self.reach
+        after = 0
+        while members:
+            low = members & -members
+            after |= reach[low.bit_length() - 1]
+            members ^= low
+        return after
+
+    def admits(self, candidate):
+        """False when an outside position both follows and precedes the
+        candidate: contracting it would close a cycle."""
+        members = self._members(candidate)
+        outside = self._after(members) & ~members
+        reach = self.reach
+        while outside:
+            low = outside & -outside
+            if reach[low.bit_length() - 1] & members:
+                return False
+            outside ^= low
+        return True
+
+    def accept(self, candidate):
+        """Contract the candidate: it, and every position preceding it,
+        now precedes everything that follows any member."""
+        members = self._members(candidate)
+        after = self._after(members)
+        reach = self.reach
+        for pos, mask in enumerate(reach):
+            if mask & members or members >> pos & 1:
+                reach[pos] = mask | after
+
+
+def operand_registers(binding, pool):
+    """The register each operand ref reads: r0 for an unbound slot, the
+    ref's own register, or the pool's for a constant (allocated on
+    first use, so the binding's order fixes the allocation order)."""
+    return [
+        0 if ref is None else ref[1] if ref[0] == "reg" else pool.get(ref[1])
+        for ref in binding
+    ]
 
 
 def _make_cix(mapping, cfg_id, pool):
@@ -143,14 +219,7 @@ def _make_cix(mapping, cfg_id, pool):
     binding = list(mapping.ext_binding)
     while len(binding) > 1 and binding[-1] is None:
         binding.pop()
-    ins = []
-    for ref in binding:
-        if ref is None:
-            ins.append(0)
-        elif ref[0] == "reg":
-            ins.append(ref[1])
-        else:
-            ins.append(pool.get(ref[1]))
+    ins = operand_registers(binding, pool)
     outs = list(mapping.out_binding) or [0]
     if not ins:
         ins = [0]

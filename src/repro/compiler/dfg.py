@@ -87,9 +87,11 @@ class DFG:
         self._consumers = {}      # node id -> [node ids]
         self._build(spm_only)
         self._build_masks()
-        # Codegen's dependence edges over block positions, built by the
-        # first rewrite of this block and shared by every later one.
+        # Codegen's dependence edges over block positions and their
+        # transitive closure, built on first use by selection or a
+        # rewrite of this block and shared by every later one.
         self.dependences = None
+        self.dependence_closure = None
 
     # -- construction -----------------------------------------------------
 

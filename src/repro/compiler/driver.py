@@ -22,6 +22,7 @@ from repro.compiler.codegen import (
 from repro.compiler.dfg import DFG
 from repro.compiler.ise import enumerate_candidates
 from repro.compiler.liveness import ALL_REGS, liveness
+from repro.compiler.mapper import MappingTemplates
 from repro.compiler.profiler import profile_kernel
 from repro.compiler.selector import select_ises
 from repro.core.executor import PatchExecutor
@@ -233,6 +234,9 @@ class KernelCompiler:
         # option with the same budget shares one sweep.
         self._dfgs = {}         # block index -> DFG
         self._sweeps = {}       # (block index, max_outputs) -> sweep
+        # Every option maps the shared sweeps' candidates, so the
+        # mapper's searches are kept per candidate shape and target.
+        self._templates = MappingTemplates()
 
     # -- execution ------------------------------------------------------------
 
@@ -330,7 +334,8 @@ class KernelCompiler:
                 block_rec.enumerated = len(candidates)
             with self.report.phase("select", owner=version):
                 mappings = select_ises(
-                    candidates, option.targets(), pool, observer=block_rec
+                    candidates, option.targets(), pool, observer=block_rec,
+                    templates=self._templates,
                 )
             if mappings:
                 rewrites[hot.block.index] = mappings

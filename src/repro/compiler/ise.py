@@ -98,48 +98,72 @@ def enumerate_candidates(
     short.  Passing ``None`` (the default) costs nothing.
     """
     eligible_ids = [node.id for node in dfg.eligible_nodes()]
-    adjacency = _adjacency(dfg, eligible_ids)
-    descendants, ancestors = dfg.descendants, dfg.ancestors
-    mem_bits, input_bits = dfg.mem_bits, dfg.input_bits
-    found = []
-    visited = 0
+    sweep = _Sweep(dfg, _adjacency(dfg, eligible_ids), max_size, min_size,
+                   max_inputs, max_outputs, limit, observer)
+    for root in sorted(eligible_ids):
+        ext0 = [u for u in sweep.adjacency[root] if u > root]
+        sweep.extend({root}, ext0, root, {root} | sweep.adjacency[root],
+                     *dfg.masks((root,)))
+    found = sweep.found
+    found.extend(_independent_pairs(dfg, eligible_ids, sweep.feasible))
+    found.sort(key=lambda c: (-c.size, sorted(c.node_ids)))
+    return found
 
-    def feasible(node_set, members, desc, anc, mem, ins):
+
+class _Sweep:
+    """One ESU sweep: its bounds, its observer and what it has found."""
+
+    def __init__(self, dfg, adjacency, max_size, min_size, max_inputs,
+                 max_outputs, limit, observer):
+        self.dfg = dfg
+        self.adjacency = adjacency
+        self.max_size = max_size
+        self.min_size = min_size
+        self.max_inputs = max_inputs
+        self.max_outputs = max_outputs
+        self.limit = limit
+        self.observer = observer
+        self.found = []
+        self.visited = 0
+
+    def feasible(self, node_set, members, desc, anc, mem, ins):
         """The candidate over ``node_set``, or ``None``; the masks are
         ``dfg.masks(node_set)``, carried incrementally by ``extend``."""
+        dfg, observer = self.dfg, self.observer
         if observer is not None:
             observer.note_visited()
         if not dfg.convex(members, desc, anc, mem):
             if observer is not None:
                 observer.note_rejected(REJECT_CONVEXITY)
             return None
-        if bin(ins & ~members).count("1") > max_inputs:
+        if bin(ins & ~members).count("1") > self.max_inputs:
             if observer is not None:
                 observer.note_rejected(REJECT_INPUTS)
             return None
         # Zero outputs is legal (pure store patterns); codegen binds a
         # placeholder destination register.
         outputs = sum(dfg.escapes(node_id, members) for node_id in node_set)
-        if outputs > max_outputs:
+        if outputs > self.max_outputs:
             if observer is not None:
                 observer.note_rejected(REJECT_OUTPUTS)
             return None
         return Candidate(dfg, node_set)
 
-    def extend(sub, ext, root, sub_neighborhood, members, desc, anc, mem,
-               ins):
-        nonlocal visited
-        if visited >= limit:
-            if observer is not None:
-                observer.note_truncated()
+    def extend(self, sub, ext, root, sub_neighborhood, members, desc, anc,
+               mem, ins):
+        if self.visited >= self.limit:
+            if self.observer is not None:
+                self.observer.note_truncated()
             return
-        visited += 1
-        if len(sub) >= min_size:
-            candidate = feasible(sub, members, desc, anc, mem, ins)
+        self.visited += 1
+        if len(sub) >= self.min_size:
+            candidate = self.feasible(sub, members, desc, anc, mem, ins)
             if candidate is not None:
-                found.append(candidate)
-        if len(sub) >= max_size:
+                self.found.append(candidate)
+        if len(sub) >= self.max_size:
             return
+        adjacency = self.adjacency
+        dfg = self.dfg
         ext = list(ext)
         while ext:
             w = ext.pop()
@@ -147,28 +171,17 @@ def enumerate_candidates(
                 u for u in adjacency[w]
                 if u > root and u not in sub and u not in sub_neighborhood
             ]
-            extend(
+            self.extend(
                 sub | {w},
                 ext + exclusive,
                 root,
                 sub_neighborhood | {w} | adjacency[w],
                 members | 1 << w,
-                desc | descendants[w],
-                anc | ancestors[w],
-                mem | mem_bits[w],
-                ins | input_bits[w],
+                desc | dfg.descendants[w],
+                anc | dfg.ancestors[w],
+                mem | dfg.mem_bits[w],
+                ins | dfg.input_bits[w],
             )
-
-    for root in sorted(eligible_ids):
-        ext0 = [u for u in adjacency[root] if u > root]
-        extend({root}, ext0, root, {root} | adjacency[root],
-               *dfg.masks((root,)))
-
-    found.extend(
-        _independent_pairs(dfg, eligible_ids, feasible)
-    )
-    found.sort(key=lambda c: (-c.size, sorted(c.node_ids)))
-    return found
 
 
 def _independent_pairs(dfg, eligible_ids, feasible):

@@ -6,11 +6,13 @@ Greedy (largest coverage first), honoring:
 * mappability on the target patch option,
 * constant-register availability in the :class:`ImmPool`,
 * schedulability — adding the mapping must not create a dependence
-  cycle in the rewritten block (checked by a trial rewrite).
+  cycle in the rewritten block (checked on the block's dependence
+  closure, see :class:`~repro.compiler.codegen.Schedule`), and its
+  constants must get registers.
 """
 
-from repro.compiler.codegen import CodegenError, rewrite_block
-from repro.compiler.mapper import map_candidate
+from repro.compiler.codegen import CodegenError, Schedule, operand_registers
+from repro.compiler.mapper import MappingTemplates, map_candidate
 from repro.core.fusion import FusedConfig
 from repro.provenance.records import (
     REJECT_IMM_POOL,
@@ -31,7 +33,8 @@ def _target_name(mapping):
     return config.ptype.name
 
 
-def select_ises(candidates, targets, pool, max_per_block=8, observer=None):
+def select_ises(candidates, targets, pool, max_per_block=8, observer=None,
+                templates=None):
     """Pick mappings for one block.
 
     ``targets`` is an ordered list of mapping targets (best first), e.g.
@@ -47,10 +50,16 @@ def select_ises(candidates, targets, pool, max_per_block=8, observer=None):
     rejected with one of the documented reasons — so accepted plus
     rejected always sums to ``len(candidates)``.  With the default
     ``None`` the loop short-circuits exactly as before.
+
+    ``templates`` is the :class:`~repro.compiler.mapper.MappingTemplates`
+    table the mapper searches through (a fresh one when None), so a
+    compiler shares its searches over every block and option.
     """
     chosen = []
     covered = set()
-    block = candidates[0].dfg.block if candidates else None
+    if templates is None:
+        templates = MappingTemplates()
+    schedule = Schedule(candidates[0].dfg) if candidates else None
     for candidate in candidates:
         if len(chosen) >= max_per_block:
             if observer is None:
@@ -68,24 +77,33 @@ def select_ises(candidates, targets, pool, max_per_block=8, observer=None):
             continue
         mapping = None
         for target in targets:
-            mapping = map_candidate(candidate, target)
+            mapping = map_candidate(candidate, target, templates)
             if mapping is not None:
                 break
         if mapping is None:
             if observer is not None:
                 observer.decide(candidate, REJECTED, reason=REJECT_UNMAPPABLE)
             continue
-        trial = chosen + [mapping]
-        try:
-            rewrite_block(block, [(m, 0) for m in trial], pool)
-        except CodegenError:
+        if not (schedule.admits(candidate) and _allocate(mapping, pool)):
             if observer is not None:
                 observer.decide(
                     candidate, REJECTED, reason=REJECT_UNSCHEDULABLE
                 )
             continue
+        schedule.accept(candidate)
         chosen.append(mapping)
         covered |= candidate.node_ids
         if observer is not None:
             observer.decide(candidate, SELECTED, target=_target_name(mapping))
     return chosen
+
+
+def _allocate(mapping, pool):
+    """Give the mapping's constants registers, in operand order, as its
+    cix will read them; False when the pool runs dry (what it allocated
+    before that stays allocated)."""
+    try:
+        operand_registers(mapping.ext_binding, pool)
+    except CodegenError:
+        return False
+    return True

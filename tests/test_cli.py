@@ -1,5 +1,7 @@
 """Smoke tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -126,6 +128,73 @@ class TestBadInputFiles:
         assert message.startswith(f"injection plan {str(plan)!r}")
         assert "register r0 outside r1..r15" in message
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config"],
+        ["critpath", "fir", "--platform"],
+    ], ids=["sweep", "critpath"])
+    @pytest.mark.parametrize("payload,issues", [
+        ({"bogus": 1}, "V706 @ custom: unknown parameter group(s): bogus"),
+        ({"mem": {"dram_latency": 0}},
+         "V704 @ custom.mem.dram_latency: mem.dram_latency must be >= 1, "
+         "got 0"),
+    ], ids=["unknown-group", "invalid"])
+    def test_rejected_platform_file(self, tmp_path, monkeypatch, argv,
+                                    payload, issues):
+        from repro.critpath import runner as critpath_runner
+        from repro.sweep import runner as sweep_runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(sweep_runner, "run_sweep", refuse)
+        monkeypatch.setattr(critpath_runner, "record_target", refuse)
+        path = tmp_path / "platform.json"
+        path.write_text(json.dumps(payload))
+        message = self.one_line_exit(argv + [str(path)])
+        assert message == f"platform file {str(path)!r} rejected: {issues}"
+
+
+class TestChaosPlanRecovery:
+    """With ``--plan`` every point runs the plan's own recovery block,
+    so that block is what the header and the report name."""
+
+    NO_RECOVERY = {"recv_timeout": 0, "max_retries": 0, "retry_backoff": 0,
+                   "ecc": False, "ecc_penalty": 0, "remap": False}
+
+    def plan_file(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "name": "raw",
+            "faults": [{"site": "reg", "reg": 5, "cycle": 40, "bit": 3}],
+            "recovery": self.NO_RECOVERY,
+        }))
+        return plan
+
+    def test_header_and_report_name_the_plan_recovery(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "report.json"
+        main(["chaos", "fir", "--plan", str(self.plan_file(tmp_path)),
+              "--json", str(out)])
+        header = capsys.readouterr().out.splitlines()[0]
+        assert f"recovery {json.dumps(self.NO_RECOVERY)}," in header
+        report = json.loads(out.read_text())
+        assert report["campaign"]["recovery"] == self.NO_RECOVERY
+
+    def test_no_recovery_with_a_plan_is_refused_before_the_sweep(
+            self, tmp_path, monkeypatch):
+        from repro.sweep import runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_sweep started")
+
+        monkeypatch.setattr(runner, "run_sweep", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "fir", "--plan", str(self.plan_file(tmp_path)),
+                  "--no-recovery"])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "--no-recovery" in message and "--plan" in message
+
 
 KERNEL_SOURCE = """\
     movi r1, 0x100
@@ -159,8 +228,6 @@ class TestTelemetryCli:
         assert "V500" not in out  # measured run verifies clean
 
     def test_run_trace_is_valid_chrome_json(self, tmp_path, capsys):
-        import json
-
         trace, out = self.run_traced(tmp_path, capsys)
         assert "chrome trace written" in out
         doc = json.loads(trace.read_text())
@@ -188,8 +255,6 @@ class TestTelemetryCli:
 
     def test_run_gz_trace(self, tmp_path, capsys):
         import gzip
-        import json
-
         source = tmp_path / "kernel.s"
         source.write_text(KERNEL_SOURCE)
         trace = tmp_path / "out.json.gz"
@@ -199,8 +264,6 @@ class TestTelemetryCli:
             assert json.load(handle)["traceEvents"]
 
     def test_run_timeseries_is_monotonic(self, tmp_path, capsys):
-        import json
-
         source = tmp_path / "kernel.s"
         source.write_text(KERNEL_SOURCE)
         out_path = tmp_path / "series.json"
@@ -232,8 +295,6 @@ class TestProfileCli:
         assert "fir" in out and "halt" in out
 
     def test_profile_json_reconciles(self, capsys):
-        import json
-
         main(["profile", "fir", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["reconciled"] is True
@@ -262,8 +323,6 @@ class TestCritpathCli:
         assert "DOES NOT RECONCILE" not in out
 
     def test_critpath_json_reconciles(self, capsys):
-        import json
-
         main(["critpath", "fir", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["target"] == "fir"
@@ -288,8 +347,6 @@ class TestCritpathCli:
         assert "drift +0.0000%" in out
 
     def test_critpath_out_artifact(self, tmp_path, capsys):
-        import json
-
         out_path = tmp_path / "capture.json"
         main(["critpath", "fir", "--out", str(out_path)])
         capsys.readouterr()
@@ -329,8 +386,6 @@ class TestMonitorCli:
 
     def test_monitor_reads_gzipped_capture(self, tmp_path, capsys):
         import gzip
-        import json
-
         from repro.telemetry import TimeSeries
 
         ts = TimeSeries(interval=100)
