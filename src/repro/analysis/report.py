@@ -4,9 +4,8 @@ Usage::
 
     python -m repro.analysis.report [output-path]
 
-Runs each table/figure driver plus the ablations (20+ minutes of
-simulation on a laptop-class machine) and writes the consolidated
-paper-vs-measured report.
+Runs each table/figure driver plus the ablations (about 8 s on a
+2-vCPU host) and writes the consolidated paper-vs-measured report.
 """
 
 import sys
@@ -51,7 +50,7 @@ KNOWN_GAPS = """## Known gaps (and why)
 """
 
 
-def generate(path="EXPERIMENTS.md", fast=False):
+def generate(path="EXPERIMENTS.md"):
     sections = [HEADER]
     summary = []
     for exp_id, runner in ALL_EXPERIMENTS.items():

@@ -37,7 +37,6 @@ or ``reference`` with an armed plan raises ``ValueError``.
 """
 
 import json
-import zlib
 
 from repro.chaos.injector import CixStallError, Injector
 from repro.chaos.plan import (
@@ -48,6 +47,7 @@ from repro.chaos.plan import (
     random_plan,
 )
 from repro.platform import DEFAULT_PLATFORM, PlatformConfig
+from repro.sweep.runner import checksum
 
 OUTCOMES = ("masked", "detected_recovered", "detected_failed", "sdc")
 
@@ -56,11 +56,6 @@ APP_ITEMS = 2
 
 #: Instruction budget of one kernel point's run.
 KERNEL_BUDGET = 20_000_000
-
-
-def _checksum(value):
-    """Stable checksum of an output structure (ints/sequences)."""
-    return zlib.crc32(repr(value).encode("utf-8")) & 0xFFFFFFFF
 
 
 def _recovery(workload):
@@ -145,8 +140,8 @@ def _kernel_point(config, workload):
     matches = result == golden
     return _metrics(workload, plan, injector, loud, matches,
                     golden_cycles=core.cycles,
-                    golden_checksum=_checksum(golden),
-                    output_checksum=_checksum(result) if loud is None
+                    golden_checksum=checksum(golden),
+                    output_checksum=checksum(result) if loud is None
                     else None)
 
 
@@ -222,8 +217,8 @@ def _app_point(config, workload):
     matches = outputs == golden
     return _metrics(workload, plan, injector, loud, matches,
                     golden_cycles=golden_makespan,
-                    golden_checksum=_checksum(golden),
-                    output_checksum=_checksum(outputs) if loud is None
+                    golden_checksum=checksum(golden),
+                    output_checksum=checksum(outputs) if loud is None
                     else None,
                     remapped=remapped)
 

@@ -185,11 +185,10 @@ class CompiledKernel:
 class KernelCompiler:
     """Compiles and measures one kernel across patch options."""
 
-    def __init__(self, kernel, hot_threshold=0.05, max_instructions=20_000_000,
+    def __init__(self, kernel, max_instructions=20_000_000,
                  max_inputs=4, max_outputs=2, allow_replication=True,
                  verify=False, report=None, platform=None):
         self.kernel = kernel
-        self.hot_threshold = hot_threshold
         self.max_instructions = max_instructions
         # Platform the measured versions are simulated on (None = the
         # stitch preset; sweeps pass alternative configurations).
@@ -210,7 +209,8 @@ class KernelCompiler:
         self.allow_replication = allow_replication
         with self.report.phase("profile"):
             self.profile = profile_kernel(
-                kernel.program, kernel.setup, max_instructions=max_instructions
+                kernel.program, kernel.setup, platform=platform,
+                max_instructions=max_instructions,
             )
         self.baseline_cycles = self.profile.cycles
         self.report.baseline_cycles = self.baseline_cycles
@@ -324,7 +324,7 @@ class KernelCompiler:
         )
         all_mappings = []
         rewrites = {}
-        for hot in self.profile.hot_blocks(self.hot_threshold):
+        for hot in self.profile.hot_blocks():
             block_rec = version.block(hot.block.index, hot.weight)
             with self.report.phase("enumerate", owner=version):
                 candidates, log = self._sweep(hot.block, max_outputs)

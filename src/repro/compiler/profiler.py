@@ -10,6 +10,7 @@ window; only such operations may join a custom instruction
 
 from repro.cpu.core import Core, STOP_HALT
 from repro.mem.hierarchy import MemorySystem
+from repro.platform import DEFAULT_PLATFORM
 from repro.probe import Probe
 
 HOT_THRESHOLD = 0.05
@@ -132,16 +133,19 @@ class ProfileResult:
         return hot
 
 
-def profile_kernel(program, setup=None, memory=None, max_instructions=5_000_000):
+def profile_kernel(program, setup=None, platform=None,
+                   max_instructions=5_000_000):
     """Run ``program`` once with profiling and summarize.
 
-    ``setup(core)`` initializes memory contents and registers.  Raises
-    if the kernel does not halt within ``max_instructions`` — profiling
-    needs a terminating run.
+    ``setup(core)`` initializes memory contents and registers;
+    ``platform`` (None: :data:`~repro.platform.DEFAULT_PLATFORM`) gives
+    the tile's memory and core.  Raises if the kernel does not halt
+    within ``max_instructions`` — profiling needs a terminating run.
     """
-    memory = memory if memory is not None else MemorySystem.stitch()
+    platform = platform if platform is not None else DEFAULT_PLATFORM
     profiler = BlockProfiler(program)
-    core = Core(program, memory, probe=profiler)
+    core = Core(program, MemorySystem(platform.mem), params=platform.core,
+                probe=profiler)
     if setup is not None:
         setup(core)
     result = core.run(max_instructions=max_instructions)

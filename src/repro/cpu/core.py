@@ -34,7 +34,7 @@ from repro.isa.instructions import (
 )
 from repro.platform import DEFAULT_PLATFORM
 from repro.probe import NULL_PROBE, overrides
-from repro.telemetry.rollup import ATTRIBUTION_BUCKETS  # noqa: F401 (re-export)
+from repro.telemetry.rollup import ATTRIBUTION_BUCKETS
 
 STOP_HALT = "halt"
 STOP_LIMIT = "limit"
@@ -151,7 +151,6 @@ class Core:
         patch=None,
         comm=None,
         core_id=0,
-        taken_branch_penalty=None,
         params=None,
         engine="auto",
         probe=None,
@@ -181,11 +180,7 @@ class Core:
         self.comm = comm if comm is not None else NullComm()
         self.core_id = core_id
         self.params = params
-        self.taken_branch_penalty = (
-            taken_branch_penalty
-            if taken_branch_penalty is not None
-            else params.taken_branch_penalty
-        )
+        self.taken_branch_penalty = params.taken_branch_penalty
         #: Set by an armed injector's ``freeze`` fault: the core stops
         #: retiring and its run() returns ``STOP_FROZEN`` forever.
         self.frozen = False
@@ -448,6 +443,31 @@ class Core:
 
     # -- telemetry ---------------------------------------------------------------
 
+    def counters(self):
+        """Every counter of the core and its caches, by name.
+
+        The one snapshot the observers read: each diffs two snapshots
+        over its own fields (the time series over ``TILE_FIELDS``, the
+        dependency recorder over ``COUNTER_FIELDS``, the run roll-up
+        over the cache counters).
+        """
+        icache, dcache = self.memory.icache, self.memory.dcache
+        return {
+            "cycles": self.cycles,
+            "instructions": self.instret,
+            "memory_stall": self.stall_memory,
+            "icache_stall": self.stall_icache,
+            "branch_bubble": self.stall_branch,
+            "comm_blocked": self.stall_comm,
+            "cix": self.cix_retired,
+            "icache_hits": icache.hits,
+            "icache_misses": icache.misses,
+            "icache_writebacks": icache.writebacks,
+            "dcache_hits": dcache.hits,
+            "dcache_misses": dcache.misses,
+            "dcache_writebacks": dcache.writebacks,
+        }
+
     def attribution(self):
         """Cycle attribution: every cycle in exactly one bucket.
 
@@ -457,13 +477,11 @@ class Core:
         is a real cross-check of the timing model, not an identity
         (see :func:`repro.verify.check_cycle_attribution`).
         """
+        counters = self.counters()
         return {
-            "compute": self.instret,
-            "memory_stall": self.stall_memory,
-            "icache_stall": self.stall_icache,
-            "branch_bubble": self.stall_branch,
-            "comm_blocked": self.stall_comm,
-            "total": self.cycles,
+            "compute": counters["instructions"],
+            **{bucket: counters[bucket] for bucket in ATTRIBUTION_BUCKETS[1:]},
+            "total": counters["cycles"],
         }
 
     def _execute_cix(self, instr):

@@ -15,11 +15,12 @@ executor also instantiates, so each op is defined once:
   interpreter's timing puts them, with its arguments: ``boundary``
   before the first instruction whose start cycle reaches
   ``core._boundary``; ``cix`` before each custom instruction, also
-  from inside translated blocks; ``cache_miss`` and the comm trio from
-  the cold step; and — only when the probe overrides them, which turns
-  translation off — the per-instruction ``retire`` and ``mem_access``
-  hooks.  The core's counters are written back before ``boundary`` and
-  before the fabric is entered, whose hooks read them.
+  from inside translated blocks; ``cache_miss`` from the cold step;
+  and — only when the probe overrides them, which turns translation
+  off — the per-instruction ``retire`` and ``mem_access`` hooks.  The
+  core's counters are written back before ``boundary`` and before the
+  fabric is entered, whose hooks (a send's, a receive's or a blocked
+  receive's) read them.
 
 Both keep architectural and timing state in locals.  On the third
 visit to a block entry (a leader, or the pc after a ``send``/``recv``)
@@ -224,7 +225,6 @@ return RunResult(STOP_HALT, cycles, instret)""",
 values = memory.dump(regs[t[5]], regs[t[3]])  # NIC DMA, cache bypass
 """ + _SYNC + """
 finish = comm.send(regs[t[4]], values, cycles)
-probe.comm_send(tile, regs[t[4]], regs[t[3]], cycles, finish)  # hooked
 if retire is not None:  # hooked
     retire(core, pc, finish - cycles)  # hooked
 stall_comm += finish - cycles - 1  # 1 = the issue slot
@@ -235,11 +235,9 @@ continue""",
     K_RECV: _SYNC + """
 result = comm.try_recv(regs[t[4]], regs[t[3]], cycles)
 if result is None:
-    probe.comm_blocked(tile, regs[t[4]], regs[t[3]], cycles)  # hooked
     return RunResult(STOP_RECV, cycles, instret)
 values, finish = result
 memory.load(regs[t[5]], values)  # NIC DMA, cache bypass
-probe.comm_recv(tile, regs[t[4]], regs[t[3]], cycles, finish)  # hooked
 if retire is not None:  # hooked
     retire(core, pc, finish - cycles)  # hooked
 stall_comm += finish - cycles - 1  # 1 = the issue slot

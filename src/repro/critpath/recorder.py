@@ -27,10 +27,10 @@ both import it.
 from repro.critpath.matcher import ChannelMatcher
 from repro.probe import Probe
 
-#: Counter snapshot order (see :func:`counters`).  The first four
-#: partition a compute segment's cycles exactly
+#: The fields of ``Core.counters()`` a record diffs, in order.  The
+#: first four partition a compute segment's cycles exactly
 #: (``cycles == instructions + memory + icache + branch`` between comm
-#: ops — the attribution invariant); the last three are the DRAM-touch
+#: ops — the attribution invariant); the next three are the DRAM-touch
 #: counts a ``dram_latency`` what-if needs (each miss/writeback costs
 #: exactly one DRAM latency).
 COUNTER_FIELDS = (
@@ -44,22 +44,7 @@ COUNTER_FIELDS = (
     "cix",
 )
 
-_ZEROS = (0,) * len(COUNTER_FIELDS)
-
-
-def counters(core):
-    """``core``'s counter snapshot in :data:`COUNTER_FIELDS` order."""
-    memory = core.memory
-    return (
-        core.instret,
-        core.stall_memory,
-        core.stall_icache,
-        core.stall_branch,
-        memory.icache.misses,
-        memory.dcache.misses,
-        memory.dcache.writebacks,
-        core.cix_retired,
-    )
+_ZEROS = dict.fromkeys(COUNTER_FIELDS, 0)
 
 KIND_SEND = "send"
 KIND_RECV = "recv"
@@ -185,7 +170,7 @@ class DependencyRecorder(Probe):
             }
         self.chaos_events = []         # (tile, kind, site, cycle) tuples
         self._matcher = ChannelMatcher()
-        self._snap = {}                # tile -> counter tuple
+        self._snap = {}                # tile -> Core.counters() at last event
         self._prev_end = {}            # tile -> local clock after last event
         self._seq = {}                 # tile -> next sequence number
         self._crossings = []           # scratch: current packet's links
@@ -207,7 +192,7 @@ class DependencyRecorder(Probe):
         """A send left its core, which is busy until ``injection_done``.
         A dropped message arrives nowhere, so no receive can pop it."""
         record = self._record(KIND_SEND, src, now, injection_done,
-                              counters(self._cores[src]), peer=dst,
+                              self._cores[src].counters(), peer=dst,
                               words=words,
                               arrival=injection_done if dropped else arrival,
                               inject=injection_done - now,
@@ -219,7 +204,7 @@ class DependencyRecorder(Probe):
     def fabric_recv(self, src, dst, words, now, ready, finish, drain):
         """A receive popped its words: the core is busy until ``finish``."""
         self.blocked.pop(dst, None)
-        self._record(KIND_RECV, dst, now, finish, counters(self._cores[dst]),
+        self._record(KIND_RECV, dst, now, finish, self._cores[dst].counters(),
                      peer=src, words=words, ready=ready, drain=drain,
                      sources=self._matcher.pop(src, dst, words))
 
@@ -251,7 +236,7 @@ class DependencyRecorder(Probe):
         """
         for core in cores:
             tile, cycles = core.core_id, core.cycles
-            snap = counters(core)
+            snap = core.counters()
             info = self.blocked.get(tile)
             if reasons[core] == KIND_HALT:
                 self._record(KIND_HALT, tile, cycles, cycles, snap)
@@ -285,9 +270,9 @@ class DependencyRecorder(Probe):
     def _record(self, kind, tile, issue, end, counters, **fields):
         previous = self._snap.get(tile, _ZEROS)
         deltas = {
-            field: counters[i] - previous[i]
-            for i, field in enumerate(COUNTER_FIELDS)
-            if counters[i] != previous[i]
+            field: counters[field] - previous[field]
+            for field in COUNTER_FIELDS
+            if counters[field] != previous[field]
         }
         self._snap[tile] = counters
         prev_end = self._prev_end.get(tile, 0)

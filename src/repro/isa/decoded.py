@@ -205,11 +205,9 @@ class DecodedProgram:
         elsewhere.  Each core counts down its own copy.
     """
 
-    __slots__ = ("program", "code", "leaders", "n", "resident_ok", "key",
-                 "entries")
+    __slots__ = ("code", "leaders", "n", "resident_ok", "key", "entries")
 
-    def __init__(self, program, code, leaders, resident_ok, key):
-        self.program = program
+    def __init__(self, code, leaders, resident_ok, key):
         self.code = code
         self.leaders = leaders
         self.n = len(code)
@@ -300,7 +298,7 @@ def _decode(program, core_params, mem_params, key):
         # core folds multi-word overlap back out as cost = fetch - (w-1).
         resident_cost = words * hit_latency - (words - 1)
         code.append(_code_tuple(instr, kind, resident_cost))
-    return DecodedProgram(program, code, leaders, resident_ok, key)
+    return DecodedProgram(code, leaders, resident_ok, key)
 
 
 def decode_program(program, core_params=None, mem_params=None):

@@ -177,16 +177,6 @@ class MemorySystem:
         """Per-level counter aggregation of this tile's caches."""
         return {"icache": self.icache.stats(), "dcache": self.dcache.stats()}
 
-    def counter_snapshot(self):
-        """``(icache hits, icache misses, dcache hits, dcache misses)``.
-
-        The raw cumulative counters, cheap enough to read every
-        sampling interval — the time-series collector diffs successive
-        snapshots into per-interval hit-rate deltas.
-        """
-        return (self.icache.hits, self.icache.misses,
-                self.dcache.hits, self.dcache.misses)
-
     def reset_stats(self):
         """Zero both caches' counters (tag/LRU state is untouched).
 

@@ -130,6 +130,8 @@ class MessagePassing:
         """Receive ``count`` words at ``dst`` from ``src``; None if not ready."""
         chan = self.channel(src, dst)
         if not chan.available(count):
+            if self.probe.enabled:
+                self.probe.comm_blocked(dst, src, count, now)
             return None
         ready = chan.ready_time(count)
         values = chan.pop(count)

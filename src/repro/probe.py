@@ -62,15 +62,6 @@ class Probe:
     def cix(self, tile, cfg_id, time):
         """A custom instruction is about to execute ``cfg_id``."""
 
-    def comm_send(self, tile, peer, words, start, end):
-        """A send retired, holding the core from ``start`` to ``end``."""
-
-    def comm_recv(self, tile, peer, words, start, end):
-        """A receive retired, holding the core from ``start`` to ``end``."""
-
-    def comm_blocked(self, tile, peer, words, time):
-        """A receive found too few words and stopped the slice."""
-
     def tile_span(self, tile, name, start, end, reason, instructions):
         """One ``Core.run`` slice ended with ``reason``."""
 
@@ -98,6 +89,10 @@ class Probe:
 
     def fabric_recv(self, src, dst, words, now, ready, finish, drain):
         """The fabric satisfied a receive at ``dst``."""
+
+    def comm_blocked(self, tile, peer, words, time):
+        """A receive at ``tile`` found too few words from ``peer``; the
+        core's slice stops."""
 
     def channel_occupancy(self, src, dst, time, occupancy):
         """Words queued on channel ``src -> dst`` after a send."""

@@ -6,9 +6,7 @@ committed as custom instructions, and which executable version each
 patch option yields.  A :class:`CompileReport` records all of them:
 
 * per-phase wall-time spans (profile/liveness/reference at the kernel
-  level; enumerate/select/rewrite/measure/validate per option), mirrored
-  into a :class:`repro.telemetry.Stats` registry and onto a
-  :class:`repro.telemetry.Tracer` ``compiler`` track,
+  level; enumerate/select/rewrite/measure/validate per option),
 * per hot block, the enumeration tally (subgraphs visited, rejections by
   reason, truncation) plus the fate of **every** feasible candidate —
   selected, or rejected with a reason — so accepted + rejected always
@@ -24,9 +22,6 @@ call, so the hot compile path carries no ``if report:`` forests.
 
 import time
 from contextlib import contextmanager
-
-from repro.telemetry import NULL_STATS, Stats, Tracer
-from repro.telemetry.trace import COMPILER
 
 SELECTED = "selected"
 REJECTED = "rejected"
@@ -283,10 +278,8 @@ class VersionRecord:
 class CompileReport:
     """Full decision provenance of one kernel's compilation."""
 
-    def __init__(self, kernel_name, stats=None, tracer=None):
+    def __init__(self, kernel_name):
         self.kernel_name = kernel_name
-        self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.origin = time.perf_counter()
         self.phases = []              # kernel-level PhaseSpan
         self.versions = {}            # option name -> VersionRecord
@@ -295,26 +288,14 @@ class CompileReport:
     @contextmanager
     def phase(self, name, owner=None):
         """Time a compile phase; attach it to ``owner`` (a version) or
-        the report itself, and mirror it into stats + tracer."""
+        the report itself."""
         start = time.perf_counter()
         try:
             yield
         finally:
-            end = time.perf_counter()
-            span = PhaseSpan(name, start - self.origin, end - start)
-            holder = owner if owner is not None else self
-            holder.phases.append(span)
-            label = (
-                f"{owner.option}.{name}" if owner is not None else name
-            )
-            self.stats.observe(
-                f"compile.{self.kernel_name}.{label}.seconds", span.seconds
-            )
-            self.tracer.span(
-                (COMPILER, self.kernel_name), label,
-                int(span.start * 1e6), int((end - self.origin) * 1e6),
-                category="compile",
-            )
+            span = PhaseSpan(name, start - self.origin,
+                             time.perf_counter() - start)
+            (owner if owner is not None else self).phases.append(span)
 
     def version(self, option):
         record = self.versions.get(option.name)
@@ -400,7 +381,6 @@ class NullCompileReport:
 
     kernel_name = None
     baseline_cycles = None
-    stats = NULL_STATS
     phases = ()
     versions = {}
 

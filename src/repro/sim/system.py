@@ -19,8 +19,6 @@ ends in a deadlock, a watchdog timeout, an exhausted round budget or
 an exception raised inside a tile's slice.
 """
 
-import dataclasses
-
 from repro.core.executor import PatchExecutor
 from repro.cpu.core import Core, STOP_FROZEN, STOP_HALT, STOP_LIMIT, STOP_RECV
 from repro.isa.instructions import Op
@@ -121,18 +119,15 @@ class StitchSystem:
     ``platform`` (a :class:`repro.platform.PlatformConfig`) sizes every
     component: the mesh, the NoC timing, each tile's memory system and
     the core parameters.  ``mesh`` overrides the platform's mesh when
-    given.  ``baseline_memory=True`` re-purposes each tile's SPM budget
-    as extra D$ (the paper's baseline many-core memory system).
-    ``engine`` selects every core's execution loop (see
+    given.  ``engine`` selects every core's execution loop (see
     :class:`repro.cpu.Core`): the default ``auto`` runs the pre-decoded
     fast loop unless the ``telemetry`` probe observes the cores.
     ``recv_timeout`` arms the receive watchdog (default: the probe's
     ``recv_deadline``, which a chaos injector takes from its plan).
     """
 
-    def __init__(self, mesh=None, contention=True, baseline_memory=False,
-                 telemetry=None, platform=None, engine="auto",
-                 recv_timeout=None):
+    def __init__(self, mesh=None, contention=True, telemetry=None,
+                 platform=None, engine="auto", recv_timeout=None):
         self.platform = platform if platform is not None else DEFAULT_PLATFORM
         self.engine = engine
         self.mesh = mesh if mesh is not None else Mesh.from_params(self.platform.noc)
@@ -145,15 +140,8 @@ class StitchSystem:
             num_tiles=self.mesh.num_tiles,
             probe=self.telemetry,
         )
-        mem_params = self.platform.mem
-        if baseline_memory:
-            mem_params = dataclasses.replace(
-                mem_params,
-                dcache_bytes=mem_params.dcache_bytes + mem_params.spm_bytes,
-                spm_bytes=0,
-            )
         self.memories = [
-            MemorySystem(mem_params) for _ in range(self.mesh.num_tiles)
+            MemorySystem(self.platform.mem) for _ in range(self.mesh.num_tiles)
         ]
         self.cores = [None] * self.mesh.num_tiles
 
@@ -189,7 +177,7 @@ class StitchSystem:
     def run(self, max_instructions_per_slice=2_000_000, max_rounds=100_000):
         """Run all tiles to completion; returns :class:`RunResults`."""
         live = [core for core in self.cores if core is not None]
-        cache_baseline = self._cache_counters()
+        start = {core: core.counters() for core in live}
         # A core this run never reaches keeps its seed: halted only if it
         # already was, else cut where it stands.
         reasons = {core: STOP_HALT if core.halted else STOP_LIMIT
@@ -260,7 +248,7 @@ class StitchSystem:
                     self._end(live, reasons, "deadlock", error.snapshot)
                     raise error
                 break
-        stats = self._roll_up(live, reasons, cache_baseline)
+        stats = self._roll_up(live, reasons, start)
         self._end(live, reasons, "complete", rollup=stats)
         attach = probe.enabled
         return RunResults(
@@ -299,21 +287,26 @@ class StitchSystem:
 
     # -- telemetry -----------------------------------------------------------
 
-    def _cache_counters(self):
-        return [
-            (m.icache.hits, m.icache.misses, m.icache.writebacks,
-             m.dcache.hits, m.dcache.misses, m.dcache.writebacks)
-            for m in self.memories
-        ]
-
-    def _roll_up(self, live, reasons, cache_baseline):
-        """Build the :class:`SystemStats` for the run just finished."""
+    def _roll_up(self, live, reasons, start):
+        """Build the :class:`SystemStats` for the run just finished;
+        ``start`` holds each core's counters at run start.  Only a
+        core's tile has cache traffic: NIC DMA and the LMAU bypass the
+        caches."""
         tiles = {}
+        caches = {
+            "icache": {"hits": 0, "misses": 0, "writebacks": 0},
+            "dcache": {"hits": 0, "misses": 0, "writebacks": 0},
+        }
         patch = {
             "executions": 0, "fused_executions": 0,
             "remote_spm_accesses": 0, "per_config": {},
         }
         for core in live:
+            now, before = core.counters(), start[core]
+            for level, counts in caches.items():
+                for key in counts:
+                    field = f"{level}_{key}"
+                    counts[key] += now[field] - before[field]
             attribution = core.attribution()
             attribution["instructions"] = core.instret
             attribution["reason"] = reasons[core]
@@ -328,18 +321,6 @@ class StitchSystem:
                             )
                     else:
                         patch[key] += value
-        caches = {
-            "icache": {"hits": 0, "misses": 0, "writebacks": 0},
-            "dcache": {"hits": 0, "misses": 0, "writebacks": 0},
-        }
-        for memory, before in zip(self.memories, cache_baseline):
-            ih, im, iw, dh, dm, dw = before
-            caches["icache"]["hits"] += memory.icache.hits - ih
-            caches["icache"]["misses"] += memory.icache.misses - im
-            caches["icache"]["writebacks"] += memory.icache.writebacks - iw
-            caches["dcache"]["hits"] += memory.dcache.hits - dh
-            caches["dcache"]["misses"] += memory.dcache.misses - dm
-            caches["dcache"]["writebacks"] += memory.dcache.writebacks - dw
         return SystemStats(
             tiles, caches, self.fabric.network.stats(), self.fabric.stats(),
             patch,

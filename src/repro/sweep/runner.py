@@ -46,8 +46,8 @@ from repro.platform import PlatformConfig
 SCHEMA_VERSION = 1
 
 
-def _checksum(value):
-    """Stable checksum of a kernel-result structure (ints/sequences)."""
+def checksum(value):
+    """Stable checksum of a kernel or app output (ints/sequences)."""
     return zlib.crc32(repr(value).encode("utf-8")) & 0xFFFFFFFF
 
 
@@ -126,7 +126,7 @@ def _run_kernel(config, workload):
         "instructions": core.instret,
         "icache_hit_rate": _hit_rate(memory.icache),
         "dcache_hit_rate": _hit_rate(memory.dcache),
-        "result_checksum": _checksum(kernel.result(core)),
+        "result_checksum": checksum(kernel.result(core)),
     }
     if recorder is not None:
         recorder.run_end([core], {core: outcome.reason}, "complete")

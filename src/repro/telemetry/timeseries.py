@@ -38,31 +38,14 @@ from repro.probe import Probe
 DEFAULT_INTERVAL = 1024
 DEFAULT_CAPACITY = 65536
 
-#: Per-tile sample fields, in export order.  All are deltas of the
-#: core-side counters except ``energy_nj`` (derived, see
-#: :meth:`TimeSeries.add_energy`).
+#: Per-tile sample fields, in export order.  All are deltas of
+#: :meth:`Core.counters <repro.cpu.Core.counters>` except ``energy_nj``
+#: (derived, see :meth:`TimeSeries.add_energy`).
 TILE_FIELDS = (
     "cycles", "instructions",
     "memory_stall", "icache_stall", "branch_bubble", "comm_blocked",
     "icache_hits", "icache_misses", "dcache_hits", "dcache_misses",
 )
-
-
-def core_counters(core):
-    """Current values of every core counter the sampler tracks."""
-    ih, im, dh, dm = core.memory.counter_snapshot()
-    return {
-        "cycles": core.cycles,
-        "instructions": core.instret,
-        "memory_stall": core.stall_memory,
-        "icache_stall": core.stall_icache,
-        "branch_bubble": core.stall_branch,
-        "comm_blocked": core.stall_comm,
-        "icache_hits": ih,
-        "icache_misses": im,
-        "dcache_hits": dh,
-        "dcache_misses": dm,
-    }
 
 
 class TimeSeries(Probe):
@@ -86,7 +69,7 @@ class TimeSeries(Probe):
     # -- probe hooks ---------------------------------------------------------
 
     def attach(self, core):
-        self._cores[core] = [core_counters(core), self.interval]
+        self._cores[core] = [core.counters(), self.interval]
         return self.interval
 
     def boundary(self, core):
@@ -117,11 +100,11 @@ class TimeSeries(Probe):
         the end-of-run totals no matter where the close lands, and
         successive samples carry strictly increasing interval indices.
         """
-        now = core_counters(core)
+        now = core.counters()
         snap = state[0]
         deltas = {
             field: now[field] - snap[field]
-            for field in now
+            for field in TILE_FIELDS
             if now[field] != snap[field]
         }
         if deltas:

@@ -15,7 +15,9 @@ matters).
 
 The tracer is a :class:`~repro.probe.Probe`: its typed domain events
 are the probe hooks of the same names, so a run that does not trace
-holds the null probe and never calls them.
+holds the null probe and never calls them.  A send or receive span is
+written by ``comm_send``/``comm_recv``, which the fabric's
+``fabric_send``/``fabric_recv`` hooks call.
 """
 
 import gzip
@@ -103,11 +105,20 @@ class Tracer(Probe):
         self.span((TILES, tile), name, start, end, category="core",
                   reason=reason, instructions=instructions)
 
+    def fabric_send(self, src, dst, words, now, arrival, injection_done,
+                    dropped=False):
+        self.comm_send(src, dst, words, now, injection_done)
+
+    def fabric_recv(self, src, dst, words, now, ready, finish, drain):
+        self.comm_recv(dst, src, words, now, finish)
+
     def comm_send(self, tile, peer, words, start, end):
+        """A send, holding the core from ``start`` to ``end``."""
         self.span((TILES, tile), f"send->{peer}", start, end,
                   category="comm", peer=peer, words=words)
 
     def comm_recv(self, tile, peer, words, start, end):
+        """A receive, holding the core from ``start`` to ``end``."""
         self.span((TILES, tile), f"recv<-{peer}", start, end,
                   category="comm", peer=peer, words=words)
 

@@ -18,6 +18,9 @@ from repro.compiler.driver import (
 )
 from repro.compiler.ise import enumerate_candidates
 from repro.core.patches import AT_AS, AT_MA
+from repro.cpu import Core
+from repro.mem import MemorySystem
+from repro.platform import DEFAULT_PLATFORM
 from repro.provenance import CompileReport, EnumerationLog
 from repro.workloads import make_kernel
 
@@ -91,7 +94,7 @@ class TestSharedSweeps:
         options = ALL_OPTIONS + (LOCUS_OPTION,)
         compiler.compile_options(options)
 
-        hot = compiler.profile.hot_blocks(compiler.hot_threshold)
+        hot = compiler.profile.hot_blocks()
         assert hot
         assert sweeps == Counter(
             {(block.block.index, outputs): 1
@@ -198,3 +201,21 @@ class TestMiscompileError:
         version = report.versions[ALL_OPTIONS[0].name]
         assert version.validated is False
         assert version.wall_seconds > 0
+
+
+class TestPlatform:
+    @pytest.mark.parametrize("group, field, value, cycles", [
+        ("core", "taken_branch_penalty", 4, 14_965),
+        ("mem", "spm_latency", 3, 16_426),
+    ])
+    def test_baseline_is_the_original_run_on_the_compiler_platform(
+            self, group, field, value, cycles):
+        platform = DEFAULT_PLATFORM.derive(**{group: {field: value}})
+        kernel = make_kernel("fir")
+        core = Core(kernel.program, MemorySystem(platform.mem),
+                    params=platform.core)
+        kernel.setup(core)
+        core.run()
+        assert core.cycles == cycles
+        compiler = KernelCompiler(kernel, platform=platform)
+        assert compiler.baseline_cycles == cycles

@@ -3,8 +3,10 @@
 ``run_instrumented`` dispatched each pre-decoded :class:`ExecOp`
 through a handler table and was the one loop that fired the core's
 probe hooks.  It is kept here verbatim, with its handlers and the
-``ExecOp`` decode; only the imports changed, and its ops now come from
-:func:`exec_ops` because ``DecodedProgram`` no longer carries them.
+``ExecOp`` decode; only the imports changed, its ops now come from
+:func:`exec_ops` because ``DecodedProgram`` no longer carries them, and
+its ``comm_send``/``comm_recv``/``comm_blocked`` calls are gone because
+the fabric fires the comm hooks.
 ``test_hook_streams.py`` holds :func:`repro.cpu.engine.run_hooked` to
 the hook calls, arguments and final state this loop produced.
 """
@@ -257,7 +259,6 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
             finish = core.comm.send(peer, values, start)
             core.cycles = finish
             core.stall_comm += finish - start - 1  # 1 = the issue slot
-            probe.comm_send(core.core_id, peer, count, start, finish)
             if retire is not None:
                 retire(core, pc, finish - start)
             core.pc = next_pc
@@ -269,14 +270,12 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
             count = regs[ex.rd]
             result = core.comm.try_recv(peer, count, core.cycles)
             if result is None:
-                probe.comm_blocked(core.core_id, peer, count, core.cycles)
                 return RunResult(STOP_RECV, core.cycles, core.instret)
             values, finish = result
             memory.load(base, values)  # NIC DMA bypasses the cache
             start = core.cycles
             core.cycles = finish
             core.stall_comm += finish - start - 1  # 1 = the issue slot
-            probe.comm_recv(core.core_id, peer, count, start, finish)
             if retire is not None:
                 retire(core, pc, finish - start)
             core.pc = next_pc

@@ -19,7 +19,7 @@ from repro.isa import assemble
 from repro.probe import Probe, combine
 from repro.sim import RoundBudgetError, StitchSystem
 from repro.telemetry import TimeSeries
-from repro.telemetry.timeseries import core_counters
+from repro.telemetry.timeseries import TILE_FIELDS
 from repro.verify import Report, check_critpath
 
 
@@ -296,9 +296,9 @@ class TestFaultInsideASlice:
         system, series, _, _ = faulting_run()
         for tile in (0, 1):
             totals = series.tile_totals(tile)
-            counters = core_counters(system.cores[tile])
-            assert {field: totals.get(field, 0) for field in counters} \
-                == counters
+            counters = system.cores[tile].counters()
+            assert {field: totals.get(field, 0) for field in TILE_FIELDS} \
+                == {field: counters[field] for field in TILE_FIELDS}
         assert len(series.tile_series(1)) > 1  # several 64-cycle intervals
 
 

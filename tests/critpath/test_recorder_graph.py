@@ -111,7 +111,7 @@ class TestJsonRoundTrip:
 class TestNullRecorder:
     def test_disabled_recorder_is_inert(self):
         assert not NULL_PROBE.enabled
-        NULL_PROBE.comm_send(0, 1, 4, 10, 12)
+        NULL_PROBE.comm_blocked(1, 0, 4, 10)
         NULL_PROBE.fabric_send(0, 1, 4, 10, 15, 12)
         NULL_PROBE.run_end([], {}, "complete")
         assert NULL_PROBE.members == ()

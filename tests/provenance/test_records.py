@@ -109,19 +109,6 @@ class TestPhases:
                              "validate"):
                 assert expected in names
 
-    def test_phases_mirrored_into_stats(self, fir_report):
-        snapshot = fir_report.stats.snapshot()
-        compile_tree = snapshot["compile"]["fir"]
-        assert compile_tree["profile"]["seconds"]["count"] == 1
-        assert compile_tree["AT-MA"]["measure"]["seconds"]["count"] >= 1
-
-    def test_phases_mirrored_onto_tracer(self, fir_report):
-        tracks = fir_report.tracer.tracks()
-        assert ("compiler", "fir") in tracks
-        names = {event.name for event in fir_report.tracer.events}
-        assert "profile" in names
-        assert "AT-MA.measure" in names
-
 
 class TestSerialization:
     def test_to_dict_json_round_trips(self, fir_report):

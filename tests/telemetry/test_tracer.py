@@ -176,7 +176,7 @@ class TestFlowEvents:
 class TestNullTracer:
     def test_records_nothing(self):
         NULL_PROBE.tile_span(0, "a", 0, 5, "halt", 3)
-        NULL_PROBE.comm_send(0, 1, 2, 3, 4)
+        NULL_PROBE.fabric_send(0, 1, 2, 3, 5, 4)
         NULL_PROBE.cix(0, 0, 0)
         assert NULL_PROBE.members == ()
         assert not NULL_PROBE.enabled

@@ -149,8 +149,8 @@ def app4_observed():
 #: Which trace events each hook the tracer overrides leaves behind.
 TRACED = {
     "tile_span": lambda e: e.category == "core",
-    "comm_send": lambda e: e.name.startswith("send->"),
-    "comm_recv": lambda e: e.name.startswith("recv<-"),
+    "fabric_send": lambda e: e.name.startswith("send->"),
+    "fabric_recv": lambda e: e.name.startswith("recv<-"),
     "comm_blocked": lambda e: e.name.startswith("blocked<-"),
     "comm_unblocked": lambda e: e.name == "unblocked",
     "cix": lambda e: e.category == "patch",
