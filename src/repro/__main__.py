@@ -144,6 +144,8 @@ def cmd_run(args):
     from repro.mem import MemorySystem
     from repro.telemetry import ATTRIBUTION_BUCKETS
 
+    _check_output(args.trace, "chrome trace")
+    _check_output(args.timeseries, "time series")
     try:
         program = assemble(_read_text(args.file, "source file"),
                            name=args.file)
@@ -183,6 +185,8 @@ def cmd_app(args):
     factory = APP_FACTORIES.get(args.app.upper())
     if factory is None:
         sys.exit(f"unknown app {args.app!r}; choose from {sorted(APP_FACTORIES)}")
+    _check_output(args.trace, "chrome trace")
+    _check_output(args.timeseries, "time series")
     evaluator = AppEvaluator(factory(seed=args.seed))
     print(f"evaluating {evaluator.app.name} (compiles every kernel option)...")
     throughputs = evaluator.normalized_throughputs()
@@ -292,6 +296,7 @@ def cmd_critpath(args):
     from repro.critpath.runner import record_target, validate_whatif
     from repro.verify import check_critpath
 
+    _check_output(args.out, "critical-path capture")
     platform = _valid_platform(args.platform) if args.platform else None
     try:
         run = record_target(args.target, seed=args.seed, items=args.items,
@@ -512,6 +517,19 @@ def _read_json(path, what):
         sys.exit(f"{what} {path!r} is not valid JSON: {exc}")
 
 
+def _check_output(path, what):
+    """One line and exit 1 if ``path`` (None: no output asked for) could
+    not be written: its directory is missing, or it is a directory.
+    Commands call this before any work; it neither creates nor
+    truncates the file."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        sys.exit(f"cannot write {what} {path!r}: is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        sys.exit(f"cannot write {what} {path!r}: no such directory")
+
+
 def _load_platform(spec):
     """Resolve ``spec`` (preset name or JSON file) to a PlatformConfig.
 
@@ -698,6 +716,7 @@ def cmd_sweep(args):
     from repro.sweep import make_points, run_sweep, smoke_points, sweep_to_json
     from repro.sweep.studies import STUDY_KERNELS
 
+    _check_output(args.out, "sweep results")
     if args.smoke:
         points = smoke_points()
     elif args.config:
@@ -759,6 +778,7 @@ def cmd_chaos(args):
     from repro.sweep.runner import run_sweep
     from repro.verify import check_campaign
 
+    _check_output(args.json, "campaign report")
     targets = args.targets or ["fir", "fft", "2dconv", "APP1"]
     recovery = shown = "none" if args.no_recovery else "full"
     sites = args.sites.split(",") if args.sites else None
@@ -834,6 +854,7 @@ def cmd_chaos(args):
 def cmd_report(args):
     from repro.analysis.report import generate
 
+    _check_output(args.path, "report")
     generate(args.path)
 
 

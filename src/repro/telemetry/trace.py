@@ -1,12 +1,15 @@
 """Structured event tracing with Chrome trace-event export.
 
-The :class:`Tracer` records typed :class:`TraceEvent` records — spans
-(instruction slices, NoC link reservations), instants (send/recv,
-block/unblock, cache misses, ``cix`` invocations) and counters — on
-named tracks, and exports them as a Chrome trace-event JSON object
-(loadable by ``chrome://tracing`` and Perfetto).  Tracks map to one
-thread per tile under a ``tiles`` process plus one thread per directed
-link under a ``noc`` process.
+The :class:`Tracer` records spans (instruction slices, NoC link
+reservations), instants (send/recv, block/unblock, cache misses,
+``cix`` invocations) and counters on named tracks, as one ordered log
+of plain tuples: each hook appends one row that holds only its own
+arguments.  Names, tracks, args dicts and :class:`TraceEvent` records
+are built only when :attr:`Tracer.events` is read or the log is
+exported as a Chrome trace-event JSON object (loadable by
+``chrome://tracing`` and Perfetto).  Tracks map to one thread per tile
+under a ``tiles`` process plus one thread per directed link under a
+``noc`` process.
 
 Timestamps are simulated cycles, written to the ``ts``/``dur``
 microsecond fields verbatim (at the paper's 200 MHz, 1 cycle = 5 ns;
@@ -17,17 +20,22 @@ The tracer is a :class:`~repro.probe.Probe`: its typed domain events
 are the probe hooks of the same names, so a run that does not trace
 holds the null probe and never calls them.  A send or receive span is
 written by ``comm_send``/``comm_recv``, which the fabric's
-``fabric_send``/``fabric_recv`` hooks call.
+``fabric_send``/``fabric_recv`` hooks call.  ``cix``, nearly every
+event of an observed co-simulation, appends a four-field row that
+export expands to the instant ``instant`` would have recorded.
 """
 
 import gzip
 import json
+from collections import namedtuple
 
 from repro.probe import Probe
 
 SPAN = "span"
 INSTANT = "instant"
 COUNTER = "counter"
+#: Tag of a ``cix`` row, ``(CIX, tile, cfg_id, time)``.
+CIX = "cix"
 
 # Track namespaces (Chrome "processes").
 TILES = "tiles"
@@ -51,52 +59,53 @@ def _open_trace(path, mode="w"):
     return open(path, mode)
 
 
-class TraceEvent:
-    """One recorded event on one track."""
+class TraceEvent(namedtuple(
+        "TraceEvent", "kind track name time duration category args")):
+    """One recorded event on one track; ``track`` is ``(namespace,
+    label)``, e.g. ``("tiles", 3)``."""
 
-    __slots__ = ("kind", "track", "name", "time", "duration", "category", "args")
+    __slots__ = ()
 
-    def __init__(self, kind, track, name, time, duration=0, category="", args=None):
-        self.kind = kind
-        self.track = track      # (namespace, label) e.g. ("tiles", 3)
-        self.name = name
-        self.time = time
-        self.duration = duration
-        self.category = category
-        self.args = args or {}
 
-    def __repr__(self):
-        return (
-            f"TraceEvent({self.kind} {self.name!r} on {self.track} "
-            f"@{self.time}+{self.duration})"
-        )
+def _expand(row):
+    """The seven :class:`TraceEvent` fields of one log row: a ``cix`` row
+    stands for the instant ``instant`` would have recorded."""
+    if row[0] == CIX:
+        _, tile, cfg_id, time = row
+        return (INSTANT, (TILES, tile), f"cix cfg{cfg_id}", time, 0,
+                "patch", {"cfg": cfg_id})
+    return row
 
 
 class Tracer(Probe):
-    """Ordered in-memory event log with domain-specific constructors."""
+    """Ordered in-memory event log with domain-specific constructors.
+
+    Each row is ``(kind, track, name, time, duration, category, args)``,
+    or ``(CIX, tile, cfg_id, time)`` for a ``cix``."""
 
     observes_core = True
 
     def __init__(self):
-        self.events = []
+        self._rows = []
+
+    @property
+    def events(self):
+        """Every event as a :class:`TraceEvent`, in record order (a new
+        list, built from the log on each read)."""
+        return [TraceEvent._make(_expand(row)) for row in self._rows]
 
     # -- generic event kinds -------------------------------------------------
 
     def span(self, track, name, start, end, category="", **args):
-        self.events.append(
-            TraceEvent(SPAN, track, name, start, max(end - start, 0),
-                       category, args)
-        )
+        self._rows.append((SPAN, track, name, start, max(end - start, 0),
+                           category, args))
 
     def instant(self, track, name, time, category="", **args):
-        self.events.append(TraceEvent(INSTANT, track, name, time, 0,
-                                      category, args))
+        self._rows.append((INSTANT, track, name, time, 0, category, args))
 
     def counter(self, track, name, time, value):
-        self.events.append(
-            TraceEvent(COUNTER, track, name, time, 0, "counter",
-                       {"value": value})
-        )
+        self._rows.append((COUNTER, track, name, time, 0, "counter",
+                           {"value": value}))
 
     # -- typed domain events -------------------------------------------------
 
@@ -130,8 +139,7 @@ class Tracer(Probe):
         self.instant((TILES, tile), "unblocked", time, category="comm")
 
     def cix(self, tile, cfg_id, time):
-        self.instant((TILES, tile), f"cix cfg{cfg_id}", time,
-                     category="patch", cfg=cfg_id)
+        self._rows.append((CIX, tile, cfg_id, time))
 
     def cache_miss(self, tile, level, addr, time, writeback=False):
         self.instant((TILES, tile), f"{level} miss", time, category="mem",
@@ -161,11 +169,10 @@ class Tracer(Probe):
 
     def tracks(self):
         """All tracks in first-appearance order."""
-        seen = []
-        for event in self.events:
-            if event.track not in seen:
-                seen.append(event.track)
-        return seen
+        return list(dict.fromkeys(
+            (TILES, row[1]) if row[0] == CIX else row[1]
+            for row in self._rows
+        ))
 
     def to_chrome(self):
         """The Chrome trace-event JSON object (dict)."""
@@ -201,34 +208,33 @@ class Tracer(Probe):
         matcher = ChannelMatcher()
         flows = []
         flow_id = 0
-        for event in self.events:
-            pid = _PIDS[event.track[0]]
-            tid = tids[event.track]
+        for row in self._rows:
+            kind, track, name, time, duration, category, args = _expand(row)
             record = {
-                "name": event.name,
-                "cat": event.category or event.track[0],
-                "pid": pid,
-                "tid": tid,
-                "ts": event.time,
+                "name": name,
+                "cat": category or track[0],
+                "pid": _PIDS[track[0]],
+                "tid": tids[track],
+                "ts": time,
             }
-            if event.kind == SPAN:
+            if kind == SPAN:
                 record["ph"] = "X"
-                record["dur"] = event.duration
-            elif event.kind == INSTANT:
+                record["dur"] = duration
+            elif kind == INSTANT:
                 record["ph"] = "i"
                 record["s"] = "t"
             else:  # COUNTER
                 record["ph"] = "C"
-            if event.args:
-                record["args"] = dict(event.args)
+            if args:
+                record["args"] = dict(args)
             trace_events.append(record)
-            if event.kind == SPAN and event.category == "comm":
-                tile = event.track[1]
-                peer = event.args.get("peer")
-                words = event.args.get("words", 0)
-                if event.name.startswith("send->"):
+            if kind == SPAN and category == "comm":
+                tile = track[1]
+                peer = args.get("peer")
+                words = args.get("words", 0)
+                if name.startswith("send->"):
                     matcher.push(tile, peer, record, words)
-                elif event.name.startswith("recv<-"):
+                elif name.startswith("recv<-"):
                     for source, taken in matcher.pop(peer, tile, words):
                         flow_id += 1
                         base = {
@@ -249,9 +255,12 @@ class Tracer(Probe):
     def write_chrome(self, path):
         """Write the Chrome trace JSON file (gzipped for ``*.gz``);
         returns the path."""
+        # json.dumps takes the C encoder in one shot; json.dump would
+        # stream through the pure-Python one.
+        text = json.dumps(self.to_chrome())
         with _open_trace(path) as handle:
-            json.dump(self.to_chrome(), handle)
+            handle.write(text)
         return path
 
     def __len__(self):
-        return len(self.events)
+        return len(self._rows)

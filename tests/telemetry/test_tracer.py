@@ -1,7 +1,9 @@
 """Unit tests for the structured tracer and its Chrome trace export."""
 
 import gzip
+import hashlib
 import json
+import tracemalloc
 
 from repro.probe import NULL_PROBE
 from repro.telemetry import Tracer
@@ -45,6 +47,124 @@ class TestEvents:
         tracer.tile_span(2, "b", 0, 1, "halt", 1)
         tracer.tile_span(5, "c", 1, 2, "halt", 1)
         assert tracer.tracks() == [("tiles", 5), ("tiles", 2)]
+
+
+def every_hook():
+    """A tracer that saw every typed hook and the generic kinds; the
+    first event on tile 4's track is a ``cix``."""
+    tracer = Tracer()
+    tracer.cix(4, 2, 5)
+    tracer.tile_span(4, "fir", 0, 10, "halt", 8)
+    tracer.fabric_send(0, 4, 3, 10, 14, 12)
+    tracer.fabric_send(0, 4, 2, 15, 19, 17, dropped=True)
+    tracer.fabric_recv(0, 4, 3, 11, 14, 20, 0)
+    tracer.comm_blocked(4, 0, 2, 21)
+    tracer.comm_unblocked(4, 30)
+    tracer.cix(0, 7, 31)
+    tracer.cache_miss(0, "dcache", 0x40, 12)
+    tracer.link_reserved(((0, 0), (0, 1)), 0, 4, 11, 3, 1)
+    tracer.deadlock(4, 0, 2, 40)
+    tracer.recv_timeout(4, 0, 25, 45, 40, 100)
+    tracer.chaos_event(0, "fault", "link", 13, {"dropped": 1})
+    tracer.span(("tiles", 9), "phase", 3, 1, category="misc", a=1)
+    tracer.instant(("noc", "x"), "mark", 7)
+    tracer.counter(("tiles", 9), "depth", 8, 5)
+    return tracer
+
+
+class TestRows:
+    """The log's rows, the ``events`` view and the Chrome export agree,
+    and hold what the tracer recorded before it kept rows."""
+
+    #: (kind, track, name, time, duration, category, args) per event.
+    EVENTS = [
+        ("instant", ("tiles", 4), "cix cfg2", 5, 0, "patch", {"cfg": 2}),
+        ("span", ("tiles", 4), "fir", 0, 10, "core",
+         {"reason": "halt", "instructions": 8}),
+        ("span", ("tiles", 0), "send->4", 10, 2, "comm",
+         {"peer": 4, "words": 3}),
+        ("span", ("tiles", 0), "send->4", 15, 2, "comm",
+         {"peer": 4, "words": 2}),
+        ("span", ("tiles", 4), "recv<-0", 11, 9, "comm",
+         {"peer": 0, "words": 3}),
+        ("instant", ("tiles", 4), "blocked<-0", 21, 0, "comm",
+         {"peer": 0, "words": 2}),
+        ("instant", ("tiles", 4), "unblocked", 30, 0, "comm", {}),
+        ("instant", ("tiles", 0), "cix cfg7", 31, 0, "patch", {"cfg": 7}),
+        ("instant", ("tiles", 0), "dcache miss", 12, 0, "mem",
+         {"addr": 64, "writeback": False}),
+        ("span", ("noc", "(0, 0)->(0, 1)"), "pkt 0->4", 11, 3, "noc",
+         {"flits": 3, "waited": 1}),
+        ("instant", ("tiles", 4), "DEADLOCK waiting<-0", 40, 0, "comm",
+         {"peer": 0, "words": 2}),
+        ("instant", ("tiles", 4), "RECV TIMEOUT waiting<-0", 45, 0, "chaos",
+         {"peer": 0, "waited": 25}),
+        ("instant", ("tiles", 0), "FAULT link", 13, 0, "chaos",
+         {"site": "link", "dropped": 1}),
+        ("span", ("tiles", 9), "phase", 3, 0, "misc", {"a": 1}),
+        ("instant", ("noc", "x"), "mark", 7, 0, "", {}),
+        ("counter", ("tiles", 9), "depth", 8, 0, "counter", {"value": 5}),
+    ]
+    #: SHA-256 of ``json.dumps(every_hook().to_chrome())``.
+    CHROME_SHA256 = (
+        "66726cc637ec1fa9f4479c0608d5c32783d19ec624468ebe142f786ddb3cd14c")
+
+    def test_events_field_by_field(self):
+        events = every_hook().events
+        assert [(e.kind, e.track, e.name, e.time, e.duration, e.category,
+                 e.args) for e in events] == self.EVENTS
+
+    def test_tracks_and_length(self):
+        tracer = every_hook()
+        assert tracer.tracks() == [
+            ("tiles", 4), ("tiles", 0), ("noc", "(0, 0)->(0, 1)"),
+            ("tiles", 9), ("noc", "x"),
+        ]
+        assert len(tracer) == len(self.EVENTS)
+
+    def test_events_is_a_view(self):
+        tracer = every_hook()
+        tracer.events.clear()
+        assert len(tracer.events) == len(tracer) == len(self.EVENTS)
+
+    def test_chrome_export_unchanged(self):
+        text = json.dumps(every_hook().to_chrome())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.CHROME_SHA256
+
+    def test_cix_row_exports_as_its_instant(self):
+        rows, instants = Tracer(), Tracer()
+        for tile, cfg_id, time in [(2, 7, 55), (0, 1, 60), (2, 3, 61)]:
+            rows.cix(tile, cfg_id, time)
+            instants.instant(("tiles", tile), f"cix cfg{cfg_id}", time,
+                             category="patch", cfg=cfg_id)
+        assert rows.events == instants.events
+        assert rows.tracks() == instants.tracks()
+        assert json.dumps(rows.to_chrome()) == json.dumps(instants.to_chrome())
+
+    def test_write_chrome_writes_the_dumps_text(self, tmp_path):
+        tracer = every_hook()
+        text = json.dumps(tracer.to_chrome())
+        plain = tmp_path / "trace.json"
+        tracer.write_chrome(plain)
+        assert plain.read_text() == text
+        packed = tmp_path / "trace.json.gz"
+        tracer.write_chrome(packed)
+        with gzip.open(packed, "rt", encoding="utf-8") as handle:
+            assert handle.read() == text
+
+    def test_cix_row_allocates_under_200_bytes(self):
+        tracer = Tracer()
+        calls = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(calls):
+                tracer.cix(index % 16, index % 8, 1_000_000 + index)
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tracer) == calls
+        assert allocated / calls < 200
 
 
 class TestChromeExport:

@@ -154,6 +154,87 @@ class TestBadInputFiles:
         assert message == f"platform file {str(path)!r} rejected: {issues}"
 
 
+class TestBadOutputPaths:
+    """An output path that cannot be written ends in one line and exit 1
+    before any work starts, and no file is created."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        import repro.sweep
+        from repro.analysis import report
+        from repro.cpu import Core
+        from repro.critpath import runner as critpath_runner
+        from repro.sim.baselines import AppEvaluator
+        from repro.sweep import runner as sweep_runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(Core, "run", refuse)
+        monkeypatch.setattr(AppEvaluator, "__init__", refuse)
+        monkeypatch.setattr(critpath_runner, "record_target", refuse)
+        monkeypatch.setattr(repro.sweep, "run_sweep", refuse)
+        monkeypatch.setattr(sweep_runner, "run_sweep", refuse)
+        monkeypatch.setattr(report, "generate", refuse)
+
+    FLAGS = [
+        (["run", "prog.s"], "--trace", "chrome trace"),
+        (["run", "prog.s"], "--timeseries", "time series"),
+        (["app", "APP3"], "--trace", "chrome trace"),
+        (["app", "APP3"], "--timeseries", "time series"),
+        (["critpath", "fir"], "--out", "critical-path capture"),
+        (["sweep", "--smoke"], "--out", "sweep results"),
+        (["chaos", "fir", "--campaign", "2", "--seed", "1"], "--json",
+         "campaign report"),
+        (["report"], None, "report"),
+    ]
+    IDS = ["run-trace", "run-timeseries", "app-trace", "app-timeseries",
+           "critpath-out", "sweep-out", "chaos-json", "report-path"]
+
+    def one_line_exit(self, tmp_path, argv, flag, path):
+        source = tmp_path / "prog.s"
+        source.write_text("movi r1, 6\nhalt\n")
+        argv = [str(source) if arg == "prog.s" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, path] if flag else argv + [path])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("argv,flag,what", FLAGS, ids=IDS)
+    def test_missing_directory(self, tmp_path, argv, flag, what):
+        path = str(tmp_path / "missing" / "out.json")
+        message = self.one_line_exit(tmp_path, argv, flag, path)
+        assert message == f"cannot write {what} {path!r}: no such directory"
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("argv,flag,what", FLAGS, ids=IDS)
+    def test_directory(self, tmp_path, argv, flag, what):
+        path = str(tmp_path)
+        message = self.one_line_exit(tmp_path, argv, flag, path)
+        assert message == f"cannot write {what} {path!r}: is a directory"
+
+    def test_process_exits_1_without_traceback(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        path = str(tmp_path / "missing" / "t.json")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "app", "APP3", "--trace", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"cannot write chrome trace {path!r}: no such directory\n")
+
+
 class TestChaosPlanRecovery:
     """With ``--plan`` every point runs the plan's own recovery block,
     so that block is what the header and the report name."""
