@@ -264,17 +264,12 @@ def cmd_profile(args):
 
 
 def cmd_monitor(args):
-    import json
-
     from repro.telemetry.monitor import render_monitor
     from repro.verify import check_timeseries
 
     target = args.target
     if os.path.isfile(target):
-        from repro.telemetry.trace import _open_trace
-
-        with _open_trace(target, "r") as handle:
-            payload = json.load(handle)
+        payload = _read_json(target, "time series")
     else:
         payload = _capture_timeseries(target, args)
     report = check_timeseries(payload)
@@ -449,6 +444,8 @@ def cmd_verify(args):
 
     if args.target is None:
         sys.exit("verify needs a kernel name, app name or .s file")
+    if args.dump_cfg:
+        _check_output(f"{args.dump_cfg}.cfg.dot", "CFG")
 
     from repro.workloads import KERNEL_FACTORIES, make_kernel
     from repro.workloads.apps import APP_FACTORIES
@@ -496,12 +493,19 @@ def cmd_verify(args):
 
 
 def _read_text(path, what):
-    """The text of ``path``; one line and exit 1 if it cannot be read."""
+    """The text of ``path``, gunzipped for ``*.gz``; one line and exit 1
+    if it cannot be read."""
+    import zlib
+
+    from repro.telemetry.trace import _open_trace
+
     try:
-        with open(path) as handle:
+        with _open_trace(path, "r") as handle:
             return handle.read()
-    except OSError as exc:
-        sys.exit(f"cannot read {what} {path!r}: {exc.strerror}")
+    except OSError as exc:  # gzip.BadGzipFile too: no strerror
+        sys.exit(f"cannot read {what} {path!r}: {exc.strerror or exc}")
+    except (EOFError, zlib.error) as exc:  # a truncated or corrupt .gz
+        sys.exit(f"cannot read {what} {path!r}: {exc}")
     except UnicodeDecodeError as exc:
         sys.exit(f"cannot read {what} {path!r}: not text ({exc.reason})")
 
@@ -589,6 +593,8 @@ def _explain_kernel(name, args):
     from repro.workloads import make_kernel
 
     options = _patch_options(args.option)
+    path = f"{args.dot}.dfg.dot" if args.dot else None
+    _check_output(path, "DFG")
     kernel = make_kernel(name, seed=args.seed)
     report = CompileReport(name)
     compiler = KernelCompiler(kernel, allow_replication=True, report=report)
@@ -600,9 +606,8 @@ def _explain_kernel(name, args):
 
         print(render_compile_report(report, verbose=args.verbose))
         print(check_compile_report(report).render())
-    if args.dot:
+    if path:
         best = max(compiled.values(), key=lambda c: c.speedup)
-        path = f"{args.dot}.dfg.dot"
         with open(path, "w") as handle:
             handle.write(dfg_dot(best))
         print(f"DFG written to {path} ({best.option.name})")
@@ -618,6 +623,8 @@ def _explain_app(name, args):
     from repro.sim.baselines import ARCH_STITCH, AppEvaluator
     from repro.workloads.apps import APP_FACTORIES
 
+    path = f"{args.dot}.plan.dot" if args.dot else None
+    _check_output(path, "mesh plan")
     evaluator = AppEvaluator(APP_FACTORIES[name](seed=args.seed))
     trace = StitchTrace(name)
     plan = evaluator.plan(ARCH_STITCH, trace=trace)
@@ -639,8 +646,7 @@ def _explain_app(name, args):
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(trace.render(plan=plan))
-    if args.dot:
-        path = f"{args.dot}.plan.dot"
+    if path:
         with open(path, "w") as handle:
             handle.write(plan_dot(plan, DEFAULT_PLACEMENT))
         print(f"mesh plan written to {path}")
@@ -671,6 +677,9 @@ def cmd_bench(args):
         write_bench,
     )
 
+    if args.check is not None and not os.path.isdir(args.check):
+        sys.exit(f"cannot check against baselines {args.check!r}: "
+                 f"no such directory")
     os.makedirs(args.out, exist_ok=True)
     kernels = args.kernels.split(",") if args.kernels else None
     apps = [a.upper() for a in args.apps.split(",")] if args.apps else None
@@ -695,7 +704,8 @@ def cmd_bench(args):
     for filename, payload in payloads.items():
         baseline_path = os.path.join(args.check, filename)
         if not os.path.isfile(baseline_path):
-            print(f"{filename}: no baseline at {baseline_path}, skipping")
+            print(f"{filename}: REGRESSION: no baseline at {baseline_path}")
+            failed = True
             continue
         regressions, notes = compare_bench(
             payload, load_bench(baseline_path), tolerance=args.tolerance
@@ -1077,7 +1087,7 @@ def main(argv=None):
     p_bench.add_argument(
         "--check", metavar="DIR",
         help="compare against baseline BENCH_*.json in DIR; exit 1 on "
-             "regression",
+             "regression, on a missing baseline file or a missing DIR",
     )
     p_bench.add_argument(
         "--tolerance", type=float, default=0.03,

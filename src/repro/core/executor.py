@@ -18,24 +18,19 @@ address goes through ``MemorySystem.spm_read``/``spm_write``, which
 raise the checked path's error.  Missing operands read 0; operands past
 the fourth are ignored.
 
-The generated code is cached by its source text, in a module-level
-cache of at most :data:`CODE_CACHE_SIZE` entries, so executors over
-equal configurations and memories of one geometry share one code
-object.  What is cached is a factory: each executor binds its own
-memories into it, so the cache holds neither executors nor memories.
+The generated code is cached by its source text in
+:func:`repro.isa.decoded.compiled`, the code cache the block engine's
+translations share, so executors over equal configurations and
+memories of one geometry share one code object.  What is cached is a
+factory: each executor binds its own memories into it, so the cache
+holds neither executors nor memories.
 """
-
-import functools
 
 from repro.core.config import TMode
 from repro.core.fusion import FusedConfig
 from repro.core.units import Source
 from repro.cpu.core import PatchPort
-from repro.isa.decoded import OP_KIND, WRAP, value_source, window_test
-
-#: Generated configurations kept, by source text.  Generating one costs
-#: about 0.3 ms; a compile pass of the kernel suite meets 199.
-CODE_CACHE_SIZE = 1024
+from repro.isa.decoded import OP_KIND, WRAP, compiled, value_source, window_test
 
 
 def _unbound_remote(values):
@@ -142,14 +137,8 @@ class _Lowering:
                   "    def run(e):\n"
                   + "".join(f"        {line}\n" for line in body)
                   + "    return run\n")
-        return _factory(source)(*(value for _, value in self.binds))
-
-
-@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
-def _factory(source):
-    namespace = {}
-    exec(compile(source, "<patch configuration>", "exec"), {}, namespace)
-    return namespace["bind"]
+        bind = compiled(source, "<patch configuration>")
+        return bind(*(value for _, value in self.binds))
 
 
 def _lower_patch(cfg, memory, missing):

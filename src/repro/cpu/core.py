@@ -139,9 +139,10 @@ class Core:
     fast and reference loops fire no hooks, so naming either for a
     probe that observes the core is a ``ValueError``.  Both block
     engines run hot blocks as functions from this core's block table;
-    one holds no core and dies with the last core whose table holds
-    it.  A probe that overrides ``retire`` or ``mem_access`` sees every
-    instruction, so its core translates no block.
+    one holds no core, and every core that generates its source shares
+    it through the code cache.  A probe that overrides ``retire`` or
+    ``mem_access`` sees every instruction, so its core translates no
+    block.
     """
 
     def __init__(

@@ -49,13 +49,15 @@ that have no scratchpad.  The cold step keeps two memoized paths:
   window index the backing word list directly; anything else falls
   back to ``MemorySystem.read``/``write`` (same errors, same timing).
 
-Translations are shared: a module-level weak dictionary keys each by
-everything its code depends on, hooked ones apart, and each core's
-pc-indexed block table holds its own strongly, so tiles running
-identical blocks share one and none outlives its last core.  A
-translation captures no core, memory, probe or patch: the slice passes
-in the register list, the SPM words, the patch's ``execute`` and,
-hooked, the tile's ``cix`` hook and the entry cycle.
+A block's code is shared by its source text: the generated function
+comes from :func:`repro.isa.decoded.compiled`, the code cache the patch
+executor's configurations share, so every pc, core, tile and compile
+that generates the same source runs one function, hooked sources apart.
+What differs between pcs, the exits and the fault map, stays in the
+core's pc-indexed block table.  A function captures no core, memory,
+probe or patch: the slice passes in the register list, the SPM words,
+the patch's ``execute`` and, hooked, the tile's ``cix`` hook and the
+entry cycle.
 
 The loops are resumable and idempotent: they sync their locals back to
 the core in a ``finally`` block, so limit stops, blocking receives and
@@ -66,7 +68,6 @@ even exceptions — a ``cix`` or its hook raising inside a block included
 import linecache
 import math  # noqa: F401 (used by the generated loops)
 import textwrap
-import weakref
 from functools import partial  # noqa: F401 (used by run_hooked)
 
 from repro.cpu.core import (
@@ -122,6 +123,7 @@ from repro.isa.decoded import (
     K_XORI,
     VALUES,
     WRAP,
+    compiled,
     fill,
     value_source,
     window_test,
@@ -462,14 +464,10 @@ _MAX_BLOCK = 64
 #: unknown pc, so the cold step runs them.
 _COLD_ONLY = frozenset({K_JR, K_HALT, K_SEND, K_RECV})
 
-#: Live translations, keyed by everything their code depends on.  Each
-#: core's block table holds its translations strongly, so tiles running
-#: identical blocks share one and none outlives its last core.
-_TRANSLATIONS = weakref.WeakValueDictionary()
 
 def _translate(code, flags, visits, pc, shape):
-    """``(block, length, exits, cycles)`` for the block entered at
-    ``pc``, or None; ``cycles`` is its longest exit's.
+    """``(block, length, exits, cycles, faults)`` for the block entered
+    at ``pc``, or None; ``cycles`` is its longest exit's.
 
     The block runs up to its closing branch or jump, stopping before
     any :data:`_COLD_ONLY` kind.  A block with a line this core has not
@@ -489,31 +487,31 @@ def _translate(code, flags, visits, pc, shape):
             break
     if end - pc < _MIN_BLOCK:
         return None
-    body = tuple(code[pc:end])
-    key = (pc, body) + shape
-    block = _TRANSLATIONS.get(key)
-    if block is None:
-        block = _TRANSLATIONS[key] = _generate(pc, body, *shape)
-    return (block, end - pc, block.exits,
-            max(deltas[1] for deltas in block.exits))
+    block, exits, faults = _generate(pc, code[pc:end], *shape)
+    return (block, end - pc, exits, max(deltas[1] for deltas in exits),
+            faults)
 
 
 def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
               hooked=False):
-    """Compile one block to ``block(r, w, x) -> exit index``.
+    """``(block, exits, faults)``: one block compiled to ``block(r, w,
+    x) -> exit index``, its exits' deltas, and its fault map.
 
     ``r`` is the register list, ``w`` the SPM's backing words and ``x``
     the patch's ``execute``.  Registers, immediates and the SPM window
-    are inlined; ``block.exits`` holds the exits' deltas.  A load or
-    store outside the window exits before the access, so the cold step
-    runs it.  A ``hooked`` block is ``block(r, w, x, h, c)``: it calls
-    ``h(cfg, cycle)``, the tile's ``cix`` hook, before each ``cix``,
-    with ``c`` the cycle it was entered at.  ``block.faults`` maps the
-    line of each ``cix`` call, and of its hook's, to the exit that
-    leaves the reference state when that line raises.  A ``cix``'s
-    results are written back in straight-line code: one store per
-    nonzero out register, guarded by the result's length as ``zip``
-    truncates.
+    are inlined.  A load or store outside the window exits before the
+    access, so the cold step runs it.  A ``hooked`` block is ``block(r,
+    w, x, h, c)``: it calls ``h(cfg, cycle)``, the tile's ``cix`` hook,
+    before each ``cix``, with ``c`` the cycle it was entered at.
+    ``faults`` maps the line of each ``cix`` call, and of its hook's, to
+    the index of the exit that leaves the reference state when that
+    line raises.  A ``cix``'s results are written back in straight-line
+    code: one store per nonzero out register, guarded by the result's
+    length as ``zip`` truncates.
+
+    ``block`` comes from the shared code cache, so it serves every pc
+    that generates the same source; ``exits`` holds the pcs and the
+    timing (the penalty and the SPM latency appear only there).
     """
     outside = window_test(spm_base, spm_end)
     spm_stall = max(spm_extra, 0)
@@ -558,7 +556,7 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
         elif kind == K_CIX:
             cixes += 1
             # Line numbers count from 1, and line 1 is the ``def``.
-            fault = exits[leave(pc, offset)]
+            fault = leave(pc, offset)
             if hooked:
                 faults[len(lines) + 2] = fault
                 lines.append(f"h({t[3]!r}, c + {cycles})")
@@ -587,12 +585,7 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
     params = "r, w, x, h, c" if hooked else "r, w, x"
     source = (f"def block({params}):\n"
               + "".join(f"    {line}\n" for line in lines))
-    namespace = {}
-    exec(compile(source, f"<block at pc {start}>", "exec"), {}, namespace)
-    block = namespace["block"]
-    block.exits = tuple(exits)
-    block.faults = faults
-    return block
+    return compiled(source, "<translated block>"), tuple(exits), faults
 
 
 def _fault_exit(entry, exc):
@@ -604,7 +597,8 @@ def _fault_exit(entry, exc):
     tb = exc.__traceback__
     while entry is not None and tb is not None:
         if tb.tb_frame.f_code is entry[0].__code__:
-            return entry[0].faults.get(tb.tb_lineno)
+            index = entry[4].get(tb.tb_lineno)
+            return None if index is None else entry[2][index]
         tb = tb.tb_next
     return None
 

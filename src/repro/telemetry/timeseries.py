@@ -34,6 +34,7 @@ import csv
 import json
 
 from repro.probe import Probe
+from repro.telemetry.trace import _open_trace
 
 DEFAULT_INTERVAL = 1024
 DEFAULT_CAPACITY = 65536
@@ -282,12 +283,13 @@ class TimeSeries(Probe):
         return out.getvalue()
 
     def write(self, path):
-        """Write JSON (default) or CSV (``.csv`` suffix); returns path."""
+        """Write JSON (default; gzipped for ``*.gz``, as a Chrome trace
+        is) or CSV (``.csv`` suffix); returns path."""
         if str(path).endswith(".csv"):
             with open(path, "w", newline="") as handle:
                 handle.write(self.to_csv())
         else:
-            with open(path, "w") as handle:
+            with _open_trace(path) as handle:
                 json.dump(self.to_dict(), handle, indent=2)
         return path
 

@@ -15,11 +15,10 @@ from repro.core import (
     TMode,
     UnitConfig,
 )
-from repro.core import executor as executor_module
 from repro.core.config import CONTROL_BITS
 from repro.core.executor import evaluate_fused, evaluate_patch
 from repro.core.units import Source
-from repro.isa import Op
+from repro.isa import Op, decoded
 from repro.mem import MemorySystem, SPM_BASE
 
 
@@ -240,7 +239,7 @@ class TestGeneratedCode:
             assert first.__code__ is second.__code__
 
     def test_the_code_cache_is_bounded(self):
-        bound = executor_module.CODE_CACHE_SIZE
+        bound = decoded.CODE_CACHE_SIZE
         configs = []
         for word in range(1 << CONTROL_BITS):
             try:
@@ -253,7 +252,7 @@ class TestGeneratedCode:
                 break
         executor = PatchExecutor(configs, MemorySystem.stitch())
         assert len({run.__code__ for run, _, _ in executor._lowered}) > bound
-        assert executor_module._factory.cache_info().currsize <= bound
+        assert decoded.compiled.cache_info().currsize <= bound
 
     def test_executors_and_memories_die_without_gc(self):
         gc.disable()

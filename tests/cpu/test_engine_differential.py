@@ -10,15 +10,18 @@ plain scalar binaries and as compiled artifacts executing custom
 instructions through a :class:`PatchExecutor`, on the default memory
 and off its latencies.  The block engine's own corners follow: limit
 stops inside translated blocks, blocking receives, runaway pcs, memory
-accesses that leave the SPM window, shared translations (hooked ones
-keyed apart), a ``cix`` raising inside a block, and a ``cix`` whose
-results do not match its out registers.
+accesses that leave the SPM window, code shared by source text across
+cores, pcs and compiles (hooked sources keyed apart) by cores that
+still die without GC, a ``cix`` raising inside a block (also inside the
+second of two blocks sharing code), and a ``cix`` whose results do not
+match its out registers.
 
 Any timing-model edit that touches only one loop fails here first.
 """
 
 import dataclasses
 import functools
+import gc
 import weakref
 
 import pytest
@@ -33,7 +36,7 @@ from repro.cpu.core import (
     STOP_LIMIT,
     STOP_RECV,
 )
-from repro.isa import assemble
+from repro.isa import assemble, decoded
 from repro.isa.decoded import K_CIX
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.spm import SPM_BASE, SPM_SIZE
@@ -534,29 +537,33 @@ def test_hooked_translations_are_keyed_apart():
         assert fast._blocks[pc][0] is not hooked._blocks[pc][0]
 
 
-def test_translations_die_with_their_last_core():
+def test_translated_cores_die_without_gc():
+    """Translations outlive their last core, in the bounded code cache,
+    so they must capture nothing: a core that ran translated blocks dies
+    by reference counting, with its memory, patch and probe."""
     compiled = compile_case("fir", "AT-MA")
-
-    def run_fir(probe):
-        kernel = make_kernel("fir", seed=1)
-        memory = MemorySystem.stitch()
-        core = Core(compiled.program, memory, probe=probe,
-                    patch=PatchExecutor(compiled.cfg_table, memory))
-        kernel.setup(core)
-        core.run()
-        return core
-
-    for probe in (lambda: None, Tracer):  # engine fast, then instrumented
-        first, second = run_fir(probe()), run_fir(probe())
-        blocks = [weakref.ref(entry[0]) for entry in first._blocks
-                  if entry is not None]
-        assert blocks
-        del first
-        assert all(block() is not None for block in blocks)  # second's
-        del second
-        # No gc.collect(): a translation that captured a core, memory,
-        # probe or patch would sit in a reference cycle and survive this.
-        assert all(block() is None for block in blocks)
+    gc.disable()
+    try:
+        for make_probe in (lambda: None, Tracer):  # fast, then instrumented
+            probe = make_probe()
+            kernel = make_kernel("fir", seed=1)
+            memory = MemorySystem.stitch()
+            patch = PatchExecutor(compiled.cfg_table, memory)
+            core = Core(compiled.program, memory, probe=probe, patch=patch)
+            kernel.setup(core)
+            assert core.run().reason == STOP_HALT
+            functions = [entry[0] for entry in core._blocks
+                         if entry is not None]
+            assert functions
+            for function in functions:
+                assert function.__closure__ is None
+                assert set(function.__globals__) == {"__builtins__"}
+            alive = [core, memory, patch] + ([probe] if probe else [])
+            refs = [weakref.ref(obj) for obj in alive]
+            del kernel, memory, patch, core, probe, alive, functions
+            assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def _cix_core(engine):
@@ -666,3 +673,108 @@ def test_scripted_cix_results_inside_translated_blocks():
     regs = runs["reference"][0]["regs"]
     assert regs[0] == 0 and regs[4] == 99  # one value leaves r4 alone
     assert len(runs["reference"][1]) == 4 * 30
+
+
+#: Two loops with one body at different pcs, each with a ``cix`` past
+#: the block's first instruction: they generate one source.
+TWIN_LOOPS = """
+    movi r1, 1
+    movi r2, 6
+first:
+    addi r1, r1, 1
+    cix  0, (r3), (r1)
+    add  r1, r1, r3
+    addi r2, r2, -1
+    bne  r2, r0, first
+    movi r2, 6
+second:
+    addi r1, r1, 1
+    cix  0, (r3), (r1)
+    add  r1, r1, r3
+    addi r2, r2, -1
+    bne  r2, r0, second
+    halt
+"""
+
+
+def _twin_loops(engine, patch):
+    program = assemble(TWIN_LOOPS)
+    core = Core(program, MemorySystem.stitch(), patch=patch, engine=engine)
+    return core, program.labels["first"], program.labels["second"]
+
+
+def test_identical_blocks_at_two_pcs_share_one_function():
+    runs = {}
+    for engine in ENGINES:
+        core, first, second = _twin_loops(engine, _ScriptedPatch())
+        assert core.run().reason == STOP_HALT
+        runs[engine] = core_state(core)
+        if engine == "reference":
+            continue
+        assert translated(core) == {first: 5, second: 5}
+        one, two = core._blocks[first], core._blocks[second]
+        assert one[0] is two[0]  # code objects compare equal across files
+        # Each keeps its own exits: the taken branch and the fall-through.
+        assert {deltas[0] for deltas in one[2]} >= {first, first + 5}
+        assert {deltas[0] for deltas in two[2]} >= {second, second + 5}
+        assert one[2] != two[2]
+    assert runs["fast"] == runs["reference"]
+    assert runs["instrumented"] == runs["reference"]
+
+
+class _FailingPatch(_ScriptedPatch):
+    """:class:`_ScriptedPatch` whose ``fail_at``-th call raises."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at = fail_at
+
+    def execute(self, cfg_id, in_values):
+        if self.executions + 1 == self.fail_at:
+            raise RuntimeError(f"cix call {self.fail_at} fails")
+        return super().execute(cfg_id, in_values)
+
+
+@pytest.mark.parametrize("fail_at", [9, 11])
+def test_cix_raising_inside_the_second_of_two_shared_blocks(fail_at):
+    """Calls 7-12 run in the second loop, translated from call 9 on: the
+    raise must leave the second loop's state, not the first's."""
+    errors, states = {}, {}
+    for engine in ENGINES:
+        core, first, second = _twin_loops(engine, _FailingPatch(fail_at))
+        with pytest.raises(RuntimeError) as excinfo:
+            core.run()
+        errors[engine] = str(excinfo.value)
+        states[engine] = core_state(core)
+        if engine != "reference":
+            assert core._blocks[first][0] is core._blocks[second][0]
+            assert second < core.pc < second + translated(core)[second]
+    assert errors["fast"] == errors["reference"] == f"cix call {fail_at} fails"
+    assert states["fast"] == states["reference"]
+    assert states["instrumented"] == states["reference"]
+
+
+def test_a_second_compile_generates_no_new_code(monkeypatch):
+    """A compile's measure runs regenerate the sources an earlier
+    compile in the process compiled: a second compile of one kernel
+    makes the same translations, from the code cache alone."""
+    from repro.compiler.driver import KernelCompiler
+    from repro.cpu import engine as block_engine
+
+    starts = []
+    generate = block_engine._generate
+
+    def counting(start, *args):
+        starts.append(start)
+        return generate(start, *args)
+
+    monkeypatch.setattr(block_engine, "_generate", counting)
+    runs = []
+    for _ in range(2):
+        misses = decoded.compiled.cache_info().misses
+        KernelCompiler(make_kernel("fir", seed=1)).compile_options()
+        runs.append((starts[:], decoded.compiled.cache_info().misses - misses))
+        starts.clear()
+    (first, _), (second, new_sources) = runs
+    assert second == first != []
+    assert new_sources == 0

@@ -107,7 +107,8 @@ class TestBadInputFiles:
         (["sweep", "--config"], "platform file"),
         (["verify", "--platform"], "platform file"),
         (["chaos", "fir", "--plan"], "injection plan"),
-    ], ids=["sweep", "verify", "chaos"])
+        (["monitor"], "time series"),
+    ], ids=["sweep", "verify", "chaos", "monitor"])
     def test_malformed_json(self, tmp_path, argv, what):
         path = tmp_path / "bad.json"
         path.write_text("{bad")
@@ -214,6 +215,19 @@ class TestBadOutputPaths:
         message = self.one_line_exit(tmp_path, argv, flag, path)
         assert message == f"cannot write {what} {path!r}: is a directory"
 
+    @pytest.mark.parametrize("argv,suffix,what", [
+        (["verify", "fir", "--dump-cfg"], ".cfg.dot", "CFG"),
+        (["explain", "fir", "--dot"], ".dfg.dot", "DFG"),
+        (["explain", "APP1", "--dot"], ".plan.dot", "mesh plan"),
+    ], ids=["verify-dump-cfg", "explain-kernel-dot", "explain-app-dot"])
+    def test_prefix_in_a_missing_directory(self, tmp_path, argv, suffix,
+                                           what):
+        prefix = str(tmp_path / "missing" / "p")
+        message = self.one_line_exit(tmp_path, argv, None, prefix)
+        path = prefix + suffix
+        assert message == f"cannot write {what} {path!r}: no such directory"
+        assert not (tmp_path / "missing").exists()
+
     def test_process_exits_1_without_traceback(self, tmp_path):
         import os
         import subprocess
@@ -233,6 +247,64 @@ class TestBadOutputPaths:
         assert done.stdout == ""
         assert done.stderr == (
             f"cannot write chrome trace {path!r}: no such directory\n")
+
+
+class TestBenchCheck:
+    """``bench --check DIR`` compares every payload it produced, or
+    fails: it never passes without comparing."""
+
+    @pytest.fixture(autouse=True)
+    def small_bench(self, monkeypatch):
+        from repro.analysis import bench
+
+        self.calls = []
+
+        def fig11(kernels=None, seed=1, workers=None):
+            self.calls.append("fig11")
+            return {"fir": {"cycles": 100}}
+
+        def fig12(apps=None, seed=1, workers=None):
+            raise AssertionError("fig12 not skipped")
+
+        monkeypatch.setattr(bench, "bench_fig11", fig11)
+        monkeypatch.setattr(bench, "bench_fig12", fig12)
+
+    def bench(self, tmp_path, check):
+        main(["bench", "--kernels", "fir", "--skip-fig12",
+              "--out", str(tmp_path / "out"), "--check", str(check)])
+
+    @pytest.mark.parametrize("make", [
+        lambda path: None,
+        lambda path: path.write_text("{}"),
+    ], ids=["missing", "file"])
+    def test_check_needs_a_directory_before_any_bench(self, tmp_path, make):
+        check = tmp_path / "baselines"
+        make(check)
+        with pytest.raises(SystemExit) as exc:
+            self.bench(tmp_path, check)
+        assert exc.value.code == (
+            f"cannot check against baselines {str(check)!r}: "
+            "no such directory")
+        assert self.calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_baseline_file_fails(self, tmp_path, capsys):
+        check = tmp_path / "baselines"
+        check.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            self.bench(tmp_path, check)
+        assert exc.value.code == 1
+        out = capsys.readouterr().out
+        path = check / "BENCH_fig11.json"
+        assert f"BENCH_fig11.json: REGRESSION: no baseline at {path}" in out
+
+    def test_matching_baseline_passes(self, tmp_path, capsys):
+        check = tmp_path / "baselines"
+        check.mkdir()
+        (check / "BENCH_fig11.json").write_text('{"fir": {"cycles": 100}}')
+        self.bench(tmp_path, check)
+        assert "BENCH_fig11.json: within 3% of baseline" in (
+            capsys.readouterr().out)
 
 
 class TestChaosPlanRecovery:
@@ -479,6 +551,33 @@ class TestMonitorCli:
         out = capsys.readouterr().out
         assert "stall timeline" in out
         assert "tile 0" in out
+
+    def test_monitor_reads_a_gzipped_run_capture(self, tmp_path, capsys):
+        source = tmp_path / "kernel.s"
+        source.write_text(KERNEL_SOURCE)
+        series = tmp_path / "series.json.gz"
+        main(["run", str(source), "--timeseries", str(series),
+              "--interval", "16"])
+        capsys.readouterr()
+        assert series.read_bytes()[:2] == b"\x1f\x8b"
+        main(["monitor", str(series)])
+        out = capsys.readouterr().out
+        assert "stall timeline" in out and "V901" not in out
+
+    @pytest.mark.parametrize("content,problem", [
+        (b'{"interval": 16}', "Not a gzipped file"),
+        (b"\x1f\x8b\x08\x00", "Compressed file ended"),
+    ], ids=["plain-json", "truncated"])
+    def test_monitor_unreadable_gz_capture_is_one_line(self, tmp_path,
+                                                       content, problem):
+        path = tmp_path / "series.json.gz"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", str(path)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"cannot read time series {str(path)!r}")
+        assert problem in message
 
     def test_monitor_rejects_bad_capture(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
