@@ -178,10 +178,14 @@ def measure(repeats, workload, factories):
     """Median time of ``workload`` under each factory's probe over
     ``repeats`` rounds.
 
-    Each round runs every factory once, starting one later each round,
-    so host drift spreads over all of them instead of reading as one
-    arm's regression.
+    An untimed round first warms every arm: imports, caches, and the
+    block translations and code each probe's engine runs (hooked blocks
+    generate sources of their own).  Each timed round runs every
+    factory once, starting one later each round, so host drift spreads
+    over all of them instead of reading as one arm's regression.
     """
+    for factory in factories:
+        workload(factory())
     times = [[] for _ in factories]
     for round_ in range(repeats):
         for step in range(len(factories)):
@@ -214,7 +218,6 @@ def main(argv=None):
                         help="also write the enabled run's Chrome trace")
     args = parser.parse_args(argv)
 
-    run_once(None)  # warm caches / imports outside the timed region
     disabled, *observed_times = measure(
         args.repeats, run_once,
         [lambda: None] + [factory for _, factory in ARMS])
@@ -225,7 +228,6 @@ def main(argv=None):
         failed |= check(label, disabled, observed, ENABLED_OVERHEAD_LIMIT)
 
     app = app_cosim()
-    app(None)  # warm the engines' caches outside the timed region
     disabled, observed = measure(args.repeats, app, [lambda: None, Telemetry])
     print(f"{APP} co-sim disabled: {disabled * 1e3:8.2f} ms (median of "
           f"{args.repeats})")

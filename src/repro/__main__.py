@@ -270,6 +270,9 @@ def cmd_monitor(args):
     target = args.target
     if os.path.isfile(target):
         payload = _read_json(target, "time series")
+        problem = _capture_problem(payload)
+        if problem is not None:
+            sys.exit(f"time series {target!r}: {problem}")
     else:
         payload = _capture_timeseries(target, args)
     report = check_timeseries(payload)
@@ -519,6 +522,22 @@ def _read_json(path, what):
         return json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         sys.exit(f"{what} {path!r} is not valid JSON: {exc}")
+
+
+def _capture_problem(payload):
+    """Why a loaded ``payload`` cannot be a time-series capture, or None:
+    it, or a group the monitor walks, is not a JSON object."""
+    if not isinstance(payload, dict):
+        return "not a JSON object"
+    # Each group after the one holding it, so ``get`` is safe.
+    for path in (("tiles",), ("noc",), ("noc", "links"), ("fabric",),
+                 ("fabric", "channels")):
+        value = payload
+        for key in path:
+            value = value.get(key, {})
+        if not isinstance(value, dict):
+            return f"{'.'.join(path)!r} is not a JSON object"
+    return None
 
 
 def _check_output(path, what):

@@ -31,7 +31,12 @@ each ``cix`` one call of the patch's ``execute`` whose results are
 written back in straight-line code (one store per nonzero out register,
 guarded by the result's length), each exit one constant tuple of deltas
 (next pc, cycles, instret, stall buckets, I-cache hit words, SPM reads
-and writes, ``cix`` count).
+and writes, ``cix`` count).  A block whose closing branch or ``jmp``
+targets its own start is a loop block: one call runs its trips in a
+``while`` loop, up to a trip budget ``m`` — the passes past the first
+that still end by the instruction limit (hooked: and by the boundary
+cycle) — and returns its exit with the trips taken, so the engine adds
+the exit's deltas plus trips times the back edge's.
 Everything else runs on the cold step, a frequency-ordered ladder over
 dense integer kinds: first visits, blocks under three instructions,
 ``send``/``recv``/``jr``/``halt``, a block that would cross the
@@ -54,17 +59,21 @@ comes from :func:`repro.isa.decoded.compiled`, the code cache the patch
 executor's configurations share, so every pc, core, tile and compile
 that generates the same source runs one function, hooked sources apart.
 What differs between pcs, the exits and the fault map, stays in the
-core's pc-indexed block table.  A function captures no core, memory,
-probe or patch: the slice passes in the register list, the SPM words,
-the patch's ``execute`` and, hooked, the tile's ``cix`` hook and the
-entry cycle.
+core's pc-indexed block table; :func:`_generate` is itself cached by
+block, start pc and timing, so each block is generated once per process
+however many cores and builds translate it.  A function captures no
+core, memory, probe or patch: the slice passes in the register list,
+the SPM words, the patch's ``execute``, hooked the tile's ``cix`` hook
+and the entry cycle, and to a loop block its trip budget.
 
 The loops are resumable and idempotent: they sync their locals back to
 the core in a ``finally`` block, so limit stops, blocking receives and
-even exceptions — a ``cix`` or its hook raising inside a block included
-— leave the core in exactly the state the reference interpreter would.
+even exceptions — a ``cix`` or its hook raising inside a block, on any
+trip of a loop block, included — leave the core in exactly the state
+the reference interpreter would.
 """
 
+import functools
 import linecache
 import math  # noqa: F401 (used by the generated loops)
 import textwrap
@@ -80,6 +89,7 @@ from repro.cpu.core import (
 )
 from repro.isa.decoded import (
     BRANCH,
+    CODE_CACHE_SIZE,
     CONDITIONS,
     FIRST_CONTROL,
     K_ADD,
@@ -281,9 +291,10 @@ def _ladder():
     return "\n".join(arms)[2:]  # the first arm is the ``if``
 
 
-# A translated block returns the index of its exit; each exit is one
-# constant tuple of deltas: (next pc, cycles, instret, branch, icache
-# and memory stalls, I-cache hit words, SPM reads and writes, cix).
+# A translated block returns the index of its exit (a loop block also
+# its trips); each exit is one constant tuple of deltas: (next pc,
+# cycles, instret, branch, icache and memory stalls, I-cache hit words,
+# SPM reads and writes, cix).
 _APPLY = """\
 pc, dc, di, db, dic, dm, dh, dr, dw, dx = {}
 cycles += dc
@@ -295,6 +306,10 @@ hit_words += dh
 spm_reads += dr
 spm_writes += dw
 cix_retired += dx"""
+
+#: The instruction limit of a slice given none: an int, so a loop
+#: block's trip budget is one.
+_UNLIMITED = 1 << 62
 
 _RUN_FAST = '''\
 def {name}(core, max_instructions=None, max_cycles=None):
@@ -348,7 +363,7 @@ def {name}(core, max_instructions=None, max_cycles=None):
     spm_writes = 0
     cix_retired = 0
 
-    stop_instret = (math.inf if max_instructions is None
+    stop_instret = (_UNLIMITED if max_instructions is None
                     else instret + max_instructions)
     stop_cycles = math.inf if max_cycles is None else max_cycles
     # A block runs only if it ends by the instruction limit; a cycle
@@ -371,6 +386,22 @@ def {name}(core, max_instructions=None, max_cycles=None):
             entry = blocks[pc]
             if entry is not None:
                 if instret + entry[1] <= block_stop{gate}:
+                    trip = entry[5]
+                    if trip is None:
+                        deltas = entry[2][
+                            entry[0](regs, spm_words, execute{hook_args})]
+                    else:
+                        # A self-loop: trips past the first pass while
+                        # each pass ends by the limit (and the boundary).
+                        m = (block_stop - instret) // entry[1] - 1
+                        if boundary != math.inf:  # hooked
+                            m = min(m, (boundary - cycles - entry[3])  # hooked
+                                    // trip[1])  # hooked
+                        index, trips = entry[0](regs, spm_words,
+                                                execute{hook_args}, m)
+                        deltas = entry[2][index]
+                        if trips:
+{apply_trips}
 {apply_block}
                     if di:
                         continue
@@ -429,14 +460,16 @@ def _cix_entry(core):
 
 def _build(name, doc, hooked=False):
     """Generate one instantiation of :data:`_RUN_FAST`."""
-    hook_args = ", on_cix, cycles" if hooked else ""
-    call = f"entry[2][entry[0](regs, spm_words, execute{hook_args})]"
     source = _RUN_FAST.format(
         name=name,
         doc=doc,
         sync=textwrap.indent(_SYNC, " " * 16),
         gate=_HOOKED_GATE if hooked else "",
-        apply_block=textwrap.indent(_APPLY.format(call), " " * 20),
+        hook_args=", on_cix, cycles" if hooked else "",
+        # Each trip adds the taken back edge's deltas.
+        apply_trips=textwrap.indent(
+            _APPLY.format("trip").replace("+= d", "+= trips * d"), " " * 28),
+        apply_block=textwrap.indent(_APPLY.format("deltas"), " " * 20),
         ladder=textwrap.indent(_ladder(), " " * 12),
         apply_fault=textwrap.indent(_APPLY.format("fault"), " " * 12),
         write_back=textwrap.indent(_WRITE_BACK, " " * 8),
@@ -466,8 +499,8 @@ _COLD_ONLY = frozenset({K_JR, K_HALT, K_SEND, K_RECV})
 
 
 def _translate(code, flags, visits, pc, shape):
-    """``(block, length, exits, cycles, faults)`` for the block entered
-    at ``pc``, or None; ``cycles`` is its longest exit's.
+    """``(block, length, exits, cycles, faults, loop)`` for the block
+    entered at ``pc``, or None; ``cycles`` is its longest exit's.
 
     The block runs up to its closing branch or jump, stopping before
     any :data:`_COLD_ONLY` kind.  A block with a line this core has not
@@ -487,15 +520,17 @@ def _translate(code, flags, visits, pc, shape):
             break
     if end - pc < _MIN_BLOCK:
         return None
-    block, exits, faults = _generate(pc, code[pc:end], *shape)
+    block, exits, faults, loop = _generate(pc, tuple(code[pc:end]), *shape)
     return (block, end - pc, exits, max(deltas[1] for deltas in exits),
-            faults)
+            faults, loop)
 
 
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
 def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
               hooked=False):
-    """``(block, exits, faults)``: one block compiled to ``block(r, w,
-    x) -> exit index``, its exits' deltas, and its fault map.
+    """``(block, exits, faults, loop)``: one block compiled to ``block(r,
+    w, x) -> exit index``, its exits' deltas, its fault map, and the
+    deltas of one trip of a loop block (None for any other block).
 
     ``r`` is the register list, ``w`` the SPM's backing words and ``x``
     the patch's ``execute``.  Registers, immediates and the SPM window
@@ -509,12 +544,33 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
     code: one store per nonzero out register, guarded by the result's
     length as ``zip`` truncates.
 
+    A block whose closing branch or ``jmp`` targets its own start is a
+    loop block, ``block(r, w, x, m)`` (hooked ``block(r, w, x, h, c,
+    m)``) ``-> (exit index, trips)``.  It runs its body in a ``while``
+    loop, taking the back edge at most ``m`` times, the trip budget, and
+    returns the exit of its last pass with ``k``, the trips before it;
+    ``loop`` is the back edge's exit, so the block's deltas are its
+    exit's plus ``k`` times ``loop``'s; hooked, ``c`` advances by a
+    trip's cycles on each trip.  A raising ``cix`` leaves its ``k`` in
+    the block's frame.
+
     ``block`` comes from the shared code cache, so it serves every pc
     that generates the same source; ``exits`` holds the pcs and the
-    timing (the penalty and the SPM latency appear only there).
+    timing (the penalty and the SPM latency appear only there).  The
+    whole result is cached by the arguments, ``body`` a tuple of code
+    tuples, so every core and build translating the block at ``start``
+    generates it once per process and shares it: no caller may change
+    ``faults``.
     """
     outside = window_test(spm_base, spm_end)
     spm_stall = max(spm_extra, 0)
+    last = body[-1]
+    loops = (last[0] in CONDITIONS and last[5] == start
+             or last[0] == K_JMP and last[3] == start)
+    done = "return {}, k" if loops else "return {}"
+    head = ["k = 0", "while True:"] if loops else []
+    # Line numbers count from 1: line 1 is the ``def``, then the head.
+    first_line = 2 + len(head)
     lines, exits, faults = [], [], {}
     cycles = icache = memory = hits = reads = writes = cixes = 0
 
@@ -522,6 +578,14 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
         exits.append((next_pc, cycles + taken, instret, taken, icache,
                       memory, hits, reads, writes, cixes))
         return len(exits) - 1
+
+    def again(index):
+        """The back edge to exit ``index``: another pass while the
+        budget lasts."""
+        edge = ["if k >= m:", f"    return {index}, k", "k += 1"]
+        if hooked:
+            edge.append(f"c += {exits[index][1]}")
+        return edge + ["continue"]
 
     def reg(index):
         return f"r[{index}]" if index else "0"  # r0 reads as zero
@@ -535,7 +599,7 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
         if kind == K_LW or kind == K_SW:
             lines.append(f"i = {operand(4, 'a')} + {t[5] - spm_base}")
             lines.append(f"if {outside}:")
-            lines.append(f"    return {leave(pc, offset)}")
+            lines.append("    " + done.format(leave(pc, offset)))
         cost = t[1]
         icache += cost - 1
         hits += t[2]
@@ -555,12 +619,11 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
             memory += spm_stall
         elif kind == K_CIX:
             cixes += 1
-            # Line numbers count from 1, and line 1 is the ``def``.
             fault = leave(pc, offset)
             if hooked:
-                faults[len(lines) + 2] = fault
+                faults[first_line + len(lines)] = fault
                 lines.append(f"h({t[3]!r}, c + {cycles})")
-            faults[len(lines) + 2] = fault
+            faults[first_line + len(lines)] = fault
             ins = ", ".join(reg(index) for index in t[5])
             lines.append(f"v = x({t[3]!r}, [{ins}])")
             for position, out in enumerate(t[4]):
@@ -574,22 +637,32 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
         if kind in CONDITIONS:
             condition = fill(BRANCH, CONDITIONS[kind], operand)
             lines.append(f"if {condition}:")
-            lines.append(f"    return {leave(t[5], instret, penalty)}")
-            lines.append(f"return {leave(pc + 1, instret)}")
+            taken = leave(t[5], instret, penalty)
+            edge = again(taken) if loops else [f"return {taken}"]
+            lines.extend("    " + line for line in edge)
+            lines.append(done.format(leave(pc + 1, instret)))
         elif kind == K_JMP or kind == K_JAL:
             if kind == K_JAL:
                 lines.append(f"r[15] = {pc + 1}")
-            lines.append(f"return {leave(t[3], instret, penalty)}")
-    if body[-1][0] < FIRST_CONTROL:
+            taken = leave(t[3], instret, penalty)
+            lines.extend(again(taken) if loops else [f"return {taken}"])
+    if last[0] < FIRST_CONTROL:
         lines.append(f"return {leave(start + len(body), len(body))}")
     params = "r, w, x, h, c" if hooked else "r, w, x"
+    if loops:
+        params += ", m"
+        lines = head + ["    " + line for line in lines]
     source = (f"def block({params}):\n"
               + "".join(f"    {line}\n" for line in lines))
-    return compiled(source, "<translated block>"), tuple(exits), faults
+    return (compiled(source, "<translated block>"), tuple(exits), faults,
+            exits[taken] if loops else None)
 
 
 def _fault_exit(entry, exc):
-    """The exit of the block ``entry`` at the ``cix`` that raised ``exc``.
+    """The deltas of the block ``entry`` at the ``cix`` that raised
+    ``exc``: that ``cix``'s exit, plus, in a loop block, the trips
+    before its pass (``k`` in the frame that raised) times the back
+    edge's.
 
     ``None`` when ``exc`` did not come out of that block's ``cix`` or
     its hook (the cold step raised it, or no block was entered).
@@ -598,7 +671,15 @@ def _fault_exit(entry, exc):
     while entry is not None and tb is not None:
         if tb.tb_frame.f_code is entry[0].__code__:
             index = entry[4].get(tb.tb_lineno)
-            return None if index is None else entry[2][index]
+            if index is None:
+                return None
+            deltas, trip = entry[2][index], entry[5]
+            if trip is None:
+                return deltas
+            trips = tb.tb_frame.f_locals["k"]
+            return (deltas[0],) + tuple(
+                delta + trips * step for delta, step in zip(deltas[1:],
+                                                            trip[1:]))
         tb = tb.tb_next
     return None
 

@@ -14,7 +14,10 @@ accesses that leave the SPM window, code shared by source text across
 cores, pcs and compiles (hooked sources keyed apart) by cores that
 still die without GC, a ``cix`` raising inside a block (also inside the
 second of two blocks sharing code), and a ``cix`` whose results do not
-match its out registers.
+match its out registers.  Self-loops run their trips inside the block:
+a limit stop at every instruction of a loop run, a ``cix`` raising and
+a load leaving the SPM window on a chosen trip, and a ``jmp`` loop left
+only by the window or the budget.
 
 Any timing-model edit that touches only one loop fails here first.
 """
@@ -218,13 +221,15 @@ def test_compiled_kernel_state_identical_off_default_memory(
 def test_fast_loop_is_actually_faster():
     # Not a timing gate (benchmarks/interp_speed.py owns that) — just a
     # sanity check that the fast path engages on a real kernel: the
-    # resident memo must have skipped most fetches.
+    # resident memo must have skipped most fetches, and the hot loop
+    # runs its trips inside one translated block.
     kernel = make_kernel("fir", seed=1)
     core = Core(kernel.program, MemorySystem.stitch(), engine="fast")
     kernel.setup(core)
     core.run(max_instructions=20_000_000)
     assert core._decoded.resident_ok
     assert any(core._resident)
+    assert loop_entries(core)
 
 
 #: Instructions each kernel of the engine speed guard
@@ -281,6 +286,15 @@ def translated(core):
             if entry is not None}
 
 
+def loop_entries(core):
+    """Entry pcs of the core's translated self-loops: a block whose
+    closing branch or ``jmp`` targets its own start runs its trips
+    inside one call, up to a trip budget, and returns its exit with the
+    trips taken before it."""
+    return {pc for pc, entry in enumerate(core._blocks or ())
+            if entry is not None and entry[5] is not None}
+
+
 #: Ten trips of a loop whose body loads, stores and branches, with a
 #: multi-word movi and a jal/jr pair around it.
 LOOP = f"""
@@ -316,15 +330,20 @@ def test_loop_translates_its_blocks():
 
 
 def test_limit_stop_at_every_offset_matches_reference():
+    # The loop's trip budget ends at every instruction of its run; each
+    # stop then resumes to the halt.
     total = _loop_core("reference")
     total.run()
     for limit in range(total.instret + 1):
-        states = []
-        for engine in ("reference", "fast"):
+        runs = {}
+        for engine in ENGINES:
             core = _loop_core(engine)
-            result = core.run(max_instructions=limit)
-            states.append((result.reason, core_state(core)))
-        assert states[1] == states[0], f"stop after {limit} instructions"
+            stop = core.run(max_instructions=limit).reason, core_state(core)
+            assert core.run().reason == STOP_HALT
+            runs[engine] = (stop, core_state(core))
+        assert runs["fast"] == runs["reference"], f"stop after {limit}"
+        assert runs["instrumented"] == runs["reference"], f"stop after {limit}"
+    assert loop_entries(core) == {3}
 
 
 @pytest.mark.parametrize("slice_length", [1, 2, 3, 5, 8, 9, 13])
@@ -778,3 +797,103 @@ def test_a_second_compile_generates_no_new_code(monkeypatch):
     (first, _), (second, new_sources) = runs
     assert second == first != []
     assert new_sources == 0
+
+
+# -- self-loops ----------------------------------------------------------------
+
+def raising_trip(exc):
+    """``k`` of the translated block frame ``exc`` came out of."""
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_name == "block":
+            return tb.tb_frame.f_locals["k"]
+        tb = tb.tb_next
+    return None
+
+
+#: ``cix`` calls of SCRIPTED that raise, and the trip of its loop block
+#: each falls on: four calls a pass, and the block runs from the third
+#: pass (the first two are its cold visits) to the thirtieth.
+RAISING_TRIPS = [(9, 0), (66, 14), (120, 27)]
+
+
+@pytest.mark.parametrize("fail_at,trip", RAISING_TRIPS,
+                         ids=["first", "middle", "last"])
+def test_cix_raising_on_trip_k_of_a_loop_block(fail_at, trip):
+    errors, runs = {}, {}
+    for engine in ENGINES:
+        patch = _FailingPatch(fail_at)
+        core = Core(assemble(SCRIPTED), MemorySystem.stitch(), patch=patch,
+                    engine=engine)
+        with pytest.raises(RuntimeError) as excinfo:
+            core.run()
+        errors[engine] = str(excinfo.value)
+        runs[engine] = (core_state(core), patch.calls)
+        if engine != "reference":
+            assert loop_entries(core) == {3}
+            assert raising_trip(excinfo.value) == trip
+    assert errors["fast"] == errors["reference"] == f"cix call {fail_at} fails"
+    assert runs["fast"] == runs["reference"]
+    assert runs["instrumented"] == runs["reference"]
+
+
+#: Twelve passes of a loop that loads one word a pass from ``start`` on,
+#: walking on past the end of the SPM window.
+WALK_OUT = """
+    movi r1, {start}
+    movi r2, 12
+loop:
+    addi r5, r5, 1
+    lw   r3, 0(r1)
+    add  r6, r6, r3
+    addi r1, r1, 4
+    addi r2, r2, -1
+    bne  r2, r0, loop
+    halt
+"""
+
+
+@pytest.mark.parametrize("trip", [0, 5, 9], ids=["first", "middle", "last"])
+def test_load_leaving_the_spm_window_on_trip_k(trip):
+    # Passes 0 and 1 run cold, so trip k of the block is pass k + 2.
+    start = SPM_BASE + SPM_SIZE - 4 * (trip + 2)
+    source = WALK_OUT.format(start=start)
+    states = {}
+    for engine in ENGINES:
+        core = Core(assemble(source), MemorySystem.stitch(), engine=engine)
+        assert core.run().reason == STOP_HALT
+        states[engine] = core_state(core)
+        if engine != "reference":
+            assert loop_entries(core) == {2}
+    assert states["fast"] == states["reference"]
+    assert states["instrumented"] == states["reference"]
+    assert states["reference"]["dcache"] != (0, 0)  # DRAM was reached
+
+
+#: A ``jmp`` self-loop: its block leaves only through the window exit
+#: once the load walks past the SPM, or when the trip budget runs out.
+JMP_LOOP = f"""
+    movi r1, {SPM_BASE + SPM_SIZE - 24}
+loop:
+    lw   r3, 0(r1)
+    add  r5, r5, r3
+    addi r1, r1, 4
+    jmp  loop
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES[1:])
+def test_jmp_self_loop_left_by_window_exit_or_budget(engine):
+    for limit in range(0, 80, 3):
+        states = {}
+        for name in ("reference", engine):
+            core = Core(assemble(JMP_LOOP), MemorySystem.stitch(),
+                        engine=name)
+            assert core.run(max_instructions=limit).reason == STOP_LIMIT
+            # Resume in slices, one of them ending mid-pass.
+            for step in (5, 2, 9):
+                assert core.run(max_instructions=step).reason == STOP_LIMIT
+            states[name] = core_state(core)
+        assert states[engine] == states["reference"], f"limit {limit}"
+    assert loop_entries(core) == {1}
+    assert states["reference"]["dcache"] != (0, 0)  # the window was left

@@ -11,7 +11,10 @@ compiled with ``cix``), off the default memory, at two boundary
 intervals, with the per-instruction hooks that turn translation off,
 with a ``cix`` hook raising inside a translated block, under an armed
 chaos plan, and on the 16-tile application co-sims with every in-repo
-observer attached.  The soak tier runs the whole cross product.
+observer attached.  A translated self-loop is held to it with a ``cix``
+hook raising on its first, a middle and its last trip, and with a
+boundary at every cycle of its run.  The soak tier runs the whole
+cross product.
 """
 
 import contextlib
@@ -26,6 +29,7 @@ from repro.compiler.driver import FUSED_OPTIONS, KernelCompiler
 from repro.core.executor import PatchExecutor
 from repro.cpu import Core, engine
 from repro.critpath import DependencyRecorder
+from repro.isa import assemble
 from repro.mem import MemorySystem, SPM_BASE
 from repro.probe import HOOKS, Probe, combine
 from repro.sim.baselines import ARCH_BASELINE, ARCH_STITCH, AppEvaluator
@@ -36,8 +40,14 @@ from tests.cpu.instrumented_oracle import run_instrumented
 from tests.cpu.test_engine_differential import (
     COMPILED_CASES,
     MEMORY_VARIANTS,
+    RAISING_TRIPS,
+    SCRIPTED,
+    _ScriptedPatch,
     compile_case,
+    core_state,
     full_state,
+    loop_entries,
+    raising_trip,
     replica_for,
 )
 
@@ -362,6 +372,84 @@ def compare_app(app, architecture, observers):
 @pytest.mark.parametrize("app", sorted(APP_FACTORIES))
 def test_app_cosim_with_every_observer_matches_the_oracle(app):
     assert compare_app(app, ARCH_STITCH, "all")["blocks"]
+
+
+# -- self-loops ------------------------------------------------------------
+
+class OneBoundary(Recorder):
+    """A :class:`Recorder` whose one boundary falls at cycle ``at``."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+
+    def attach(self, core):
+        super().attach(core)
+        return self.at
+
+
+def run_scripted(recorder):
+    """What one run of SCRIPTED's ``cix`` loop under ``recorder`` leaves."""
+    patch = _ScriptedPatch()
+    core = Core(assemble(SCRIPTED), MemorySystem.stitch(), patch=patch,
+                probe=recorder)
+    assert core.selected_engine() == "instrumented"
+    trip = None
+    try:
+        stop = core.run().reason
+    except HookError as exc:
+        stop, trip = f"HookError: {exc}", raising_trip(exc)
+    return {
+        "log": recorder.log,
+        "stop": stop,
+        "state": (core_state(core), patch.calls),
+        "in_block": recorder.in_block,
+        "loops": loop_entries(core),
+        "trip": trip,
+    }
+
+
+def compare_scripted(make_recorder):
+    hooked, reference = on_both(lambda: run_scripted(make_recorder()))
+    for key in ("stop", "state", "log"):
+        assert hooked[key] == reference[key], key
+    assert hooked["loops"] == {3}
+    return hooked
+
+
+@pytest.mark.parametrize("raise_at,trip", RAISING_TRIPS,
+                         ids=["first", "middle", "last"])
+def test_cix_hook_raising_on_trip_k_of_a_loop_block(raise_at, trip):
+    hooked = compare_scripted(lambda: Recorder(raise_at=raise_at))
+    assert hooked["stop"].startswith("HookError")
+    assert hooked["in_block"][-1] and hooked["trip"] == trip
+
+
+def test_boundary_at_every_cycle_offset_of_a_loop_pass():
+    total = run_scripted(Recorder())["state"][0]["cycles"]
+    for at in range(total):
+        hooked = compare_scripted(lambda: OneBoundary(at))
+        assert ("boundary" in (entry[0] for entry in hooked["log"])
+                and any(hooked["in_block"])), at
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["fast", "hooked"])
+def test_app4_tiles_run_loop_blocks_translated_once(observed):
+    """Every APP4 tile runs a self-loop in its block, and a second
+    build translates every block from the ``_generate`` cache."""
+    lookups = []
+    for _ in range(2):
+        before = engine._generate.cache_info()
+        system, _ = evaluator("APP4").build_system(
+            ARCH_STITCH, items=2, telemetry=Telemetry() if observed else None)
+        assert all(result.halted for result in system.run())
+        after = engine._generate.cache_info()
+        lookups.append((after.hits - before.hits,
+                        after.misses - before.misses))
+        assert all(loop_entries(core) for core in system.cores
+                   if core is not None)
+    hits, misses = lookups[1]
+    assert hits > 0 and misses == 0
 
 
 # -- soak: the cross product -----------------------------------------------

@@ -579,6 +579,21 @@ class TestMonitorCli:
         assert message.startswith(f"cannot read time series {str(path)!r}")
         assert problem in message
 
+    @pytest.mark.parametrize("content,problem", [
+        ("[1]", "not a JSON object"),
+        ('{"interval": 64, "tiles": 5}', "'tiles' is not a JSON object"),
+        ('{"interval": 64, "noc": {"links": []}}',
+         "'noc.links' is not a JSON object"),
+        ('{"interval": 64, "fabric": "x"}', "'fabric' is not a JSON object"),
+    ], ids=["array", "tiles-number", "links-array", "fabric-string"])
+    def test_monitor_rejects_json_that_is_not_a_capture(self, tmp_path,
+                                                        content, problem):
+        path = tmp_path / "series.json"
+        path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", str(path)])
+        assert exc.value.code == f"time series {str(path)!r}: {problem}"
+
     def test_monitor_rejects_bad_capture(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"interval": 0, "tiles": {}}')
