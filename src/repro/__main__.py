@@ -139,7 +139,7 @@ def _write_captures(telemetry, args):
 
 
 def cmd_run(args):
-    from repro.cpu import Core
+    from repro.cpu import BlockedError, Core, ExecutionError
     from repro.isa import AssemblerError, assemble
     from repro.mem import MemorySystem
     from repro.telemetry import ATTRIBUTION_BUCKETS
@@ -153,7 +153,10 @@ def cmd_run(args):
         sys.exit(str(exc))
     telemetry = _telemetry(args)
     core = Core(program, MemorySystem.stitch(), probe=telemetry)
-    outcome = core.run(max_instructions=args.max_instructions)
+    try:
+        outcome = core.run(max_instructions=args.max_instructions)
+    except (BlockedError, ExecutionError) as exc:  # no patch or network
+        sys.exit(f"{type(exc).__name__}: {exc}")
     if telemetry is not None:
         telemetry.run_end([core], {core: outcome.reason}, "complete")
     print(f"stopped: {outcome.reason}")
@@ -526,17 +529,58 @@ def _read_json(path, what):
 
 def _capture_problem(payload):
     """Why a loaded ``payload`` cannot be a time-series capture, or None:
-    it, or a group the monitor walks, is not a JSON object."""
+    it, or a group the monitor walks, is not a JSON object, or a series
+    in a group is not a list of samples carrying the integer fields
+    ``check_timeseries`` and ``render_monitor`` read."""
+    from repro.telemetry.monitor import STALL_GLYPHS
+
     if not isinstance(payload, dict):
         return "not a JSON object"
+    interval = payload.get("interval")
+    if interval is not None and not isinstance(interval, (int, float)):
+        return "'interval' is not a number"
+    # The groups of series: the fields their samples carry beside
+    # index/start/end, and those read as 0 when absent.
+    series = {"tiles": ((), tuple(field for field, _, _ in STALL_GLYPHS)),
+              "noc.links": (("flits",), ()),
+              "fabric.channels": ((), ())}
     # Each group after the one holding it, so ``get`` is safe.
     for path in (("tiles",), ("noc",), ("noc", "links"), ("fabric",),
                  ("fabric", "channels")):
         value = payload
         for key in path:
             value = value.get(key, {})
+        where = ".".join(path)
         if not isinstance(value, dict):
-            return f"{'.'.join(path)!r} is not a JSON object"
+            return f"{where!r} is not a JSON object"
+        if where not in series:
+            continue
+        required, optional = series[where]
+        for name, samples in value.items():
+            if where == "tiles":
+                try:
+                    int(name)  # the timeline sorts tiles by number
+                except ValueError:
+                    return f"'tiles' names {name!r}, not a tile number"
+            problem = _series_problem(samples, ("index", "start", "end")
+                                      + required, optional)
+            if problem is not None:
+                return f"{where!r} series {name!r} {problem}"
+    return None
+
+
+def _series_problem(samples, required, optional):
+    """Why ``samples`` is not a list of objects whose ``required`` and
+    present ``optional`` fields are integers, or None."""
+    if not isinstance(samples, list):
+        return "is not a list of samples"
+    for number, sample in enumerate(samples):
+        if not isinstance(sample, dict):
+            return f"sample {number} is not a JSON object"
+        for field in required + optional:
+            value = sample.get(field, 0 if field in optional else None)
+            if not isinstance(value, int):
+                return f"sample {number} has no integer {field!r}"
     return None
 
 

@@ -18,13 +18,21 @@ address goes through ``MemorySystem.spm_read``/``spm_write``, which
 raise the checked path's error.  Missing operands read 0; operands past
 the fourth are ignored.
 
+A configuration's function counts its own calls: before it runs it
+adds one to its count cell, a fused one also to the executor's fused
+cell, and one whose B half reaches a remote tile's scratchpad to the
+remote cell.  :meth:`PatchExecutor.execute` only looks the run up and
+calls it; the executor's counters are read from the cells.
+
 The generated code is cached by its source text in
 :func:`repro.isa.decoded.compiled`, the code cache the block engine's
 translations share, so executors over equal configurations and
 memories of one geometry share one code object.  What is cached is a
-factory: each executor binds its own memories into it, so the cache
-holds neither executors nor memories.
+factory: each executor binds its own memories and cells into it, so the
+cache holds neither executors nor memories.
 """
+
+import functools
 
 from repro.core.config import TMode
 from repro.core.fusion import FusedConfig
@@ -33,24 +41,21 @@ from repro.cpu.core import PatchPort
 from repro.isa.decoded import OP_KIND, WRAP, compiled, value_source, window_test
 
 
-def _unbound_remote(values):
-    raise RuntimeError(
-        "fused B half uses its LMAU but no remote scratchpad "
-        "is bound (was the pair stitched?)"
-    )
-
-
 class _Lowering:
     """The straight-line source of one configuration.
 
-    ``lines`` is the body of ``run(e)`` after its operand prologue,
-    ``binds`` the ``(parameter, value)`` pairs its factory takes, and
-    ``used`` the operand slots the body reads (as ``e0``-``e3``).
+    ``lines`` is the body of ``run(e)`` after its count and operand
+    prologue, ``binds`` the ``(parameter, value)`` pairs its factory
+    takes before ``calls``, the id's count cell, and ``used`` the
+    operand slots the body reads (as ``e0``-``e3``).  ``counted`` names
+    the cells a call adds one to before it runs: ``calls``, then the
+    shared ``(parameter, cell)`` pairs given as ``cells``.
     """
 
-    def __init__(self):
+    def __init__(self, cells=()):
         self.lines = []
-        self.binds = []
+        self.binds = list(cells)
+        self.counted = ["calls"] + [name for name, _ in cells]
         self.used = set()
 
     def ext(self, slot):
@@ -124,39 +129,54 @@ class _Lowering:
         return driven
 
     def run(self, outs):
-        """``run(e) -> [outs...]``, this lowering's memories bound into
-        the cached code."""
+        """``bind(calls) -> run(e) -> [outs...]``: the cached factory
+        with this lowering's memories and shared cells bound, which
+        binds a count cell ``calls`` (a one-item list) into a run."""
         reads = [f"e{slot} = e[{slot}]" for slot in sorted(self.used)]
-        body = ["try:", *(f"    {line}" for line in reads),
-                "except (IndexError, TypeError):  # short, or not a list",
-                "    e = [*e, 0, 0, 0, 0]",
-                *(f"    {line}" for line in reads),
-                *self.lines,
-                f"return [{', '.join(outs)}]"]
-        source = (f"def bind({', '.join(name for name, _ in self.binds)}):\n"
+        body = [f"{name}[0] += 1" for name in self.counted]
+        if reads:
+            body += ["try:", *(f"    {line}" for line in reads),
+                     "except (IndexError, TypeError):  # short, or not a list",
+                     "    e = [*e, 0, 0, 0, 0]",
+                     *(f"    {line}" for line in reads)]
+        body += [*self.lines, f"return [{', '.join(outs)}]"]
+        params = [name for name, _ in self.binds] + ["calls"]
+        source = (f"def bind({', '.join(params)}):\n"
                   "    def run(e):\n"
                   + "".join(f"        {line}\n" for line in body)
                   + "    return run\n")
-        bind = compiled(source, "<patch configuration>")
-        return bind(*(value for _, value in self.binds))
+        return functools.partial(compiled(source, "<patch configuration>"),
+                                 *(value for _, value in self.binds))
 
 
 def _lower_patch(cfg, memory, missing):
-    """Lower a :class:`PatchConfig` to ``run(ext) -> [out0, out1]``,
-    with ``missing`` standing for an ``out1`` the patch does not drive."""
+    """Lower a :class:`PatchConfig` to ``bind(calls) -> run(ext) ->
+    [out0, out1]``, with ``missing`` standing for an ``out1`` the patch
+    does not drive."""
     lowering = _Lowering()
     return lowering.run(
         lowering.patch(cfg, memory, "a", lowering.ext, repr(missing)))
 
 
-def _lower_fused(cfg, memory_a, memory_b):
-    """Lower a :class:`FusedConfig` to ``run(ext) -> [outs...]``.
+def _lower_unbound(cells):
+    """``bind(calls) -> run(ext)`` for a fused configuration whose B half
+    uses its LMAU with no scratchpad bound: it counts, then raises."""
+    lowering = _Lowering(cells)
+    lowering.lines.append('raise RuntimeError("fused B half uses its LMAU '
+                          'but no remote scratchpad is bound (was the '
+                          'pair stitched?)")')
+    return lowering.run([])
+
+
+def _lower_fused(cfg, memory_a, memory_b, cells=()):
+    """Lower a :class:`FusedConfig` to ``bind(calls) -> run(ext) ->
+    [outs...]``.
 
     Patch B's operands are the names ``b_ext`` wires them to, so A's
     outputs reach B without a copy; an output a half does not drive
     reads 0.
     """
-    lowering = _Lowering()
+    lowering = _Lowering(cells)
     produced = dict(zip(("a_out0", "a_out1"), lowering.patch(
         cfg.cfg_a, memory_a, "a", lowering.ext, "0")))
 
@@ -178,12 +198,12 @@ def evaluate_patch(cfg, ext, memory):
     the LMAU's scratchpad.  Returns ``(out0, out1)`` where ``out1`` is
     ``None`` unless both chain halves produced values.
     """
-    return tuple(_lower_patch(cfg, memory, None)(ext))
+    return tuple(_lower_patch(cfg, memory, None)([0])(ext))
 
 
 def evaluate_fused(cfg, ext, memory_a, memory_b):
     """Evaluate a fused pair: A on the origin tile, B on the remote."""
-    return tuple(_lower_fused(cfg, memory_a, memory_b)(ext))
+    return tuple(_lower_fused(cfg, memory_a, memory_b)([0])(ext))
 
 
 class PatchExecutor(PatchPort):
@@ -198,7 +218,9 @@ class PatchExecutor(PatchPort):
     ``remote_spm_accesses`` stays 0.
 
     The configuration table is lowered once, here, to one generated
-    function per entry; ``execute`` then counts the call and makes it.
+    factory per entry.  An id's first call binds the entry's run to a
+    count cell of its own; every later call of ``execute`` looks the run
+    up and calls it, and the run counts itself.
     """
 
     def __init__(self, cfg_table, memory, remote_memories=None,
@@ -210,45 +232,70 @@ class PatchExecutor(PatchPort):
         # of the replicated read-only regions" when the fused pair has
         # not been placed yet (single-kernel measurement).
         self.replica_memory = replica_memory
-        self.executions = 0
-        self.fused_executions = 0
-        # Telemetry: invocations per config id, and how many fused
+        # Telemetry cells: fused executions, and how many fused
         # executions touched a *remote* tile's scratchpad via the
         # inter-patch path (the cross-SPM traffic Section IV argues for).
-        self.config_counts = {}
-        self.remote_spm_accesses = 0
-        # (run, fused, remote) per config id; the entries hold memories
-        # but never the executor, which keeps the counters.
+        self._fused = [0]
+        self._remote = [0]
+        # Factory per table entry; each holds memories and cells but
+        # never the executor.
         self._lowered = [self._lower(cfg) for cfg in self.cfg_table]
+        # Run and count cell per config id as given, in first-use order.
+        self._runs = {}
+        self._calls = {}
 
     def _lower(self, cfg):
         if not isinstance(cfg, FusedConfig):
-            return _lower_patch(cfg, self.memory, 0), False, False
+            return _lower_patch(cfg, self.memory, 0)
         if cfg.remote_tile is not None:
             memory_b = self.remote_memories.get(cfg.remote_tile)
         else:
             memory_b = self.replica_memory
         b_lmau = cfg.cfg_b.uses_lmau()
+        cells = [("fused", self._fused)]
         if memory_b is None and b_lmau:
-            return _unbound_remote, True, False
-        return (_lower_fused(cfg, self.memory, memory_b), True,
-                cfg.remote_tile is not None and b_lmau)
+            return _lower_unbound(cells)
+        if cfg.remote_tile is not None and b_lmau:
+            cells.append(("remote", self._remote))
+        return _lower_fused(cfg, self.memory, memory_b, cells)
 
     def execute(self, cfg_id, in_values):
         try:
-            run, fused, remote = self._lowered[cfg_id]
+            run = self._runs[cfg_id]
+        except KeyError:
+            run = self._install(cfg_id)
+        return run(in_values)
+
+    def _install(self, cfg_id):
+        """Bind ``cfg_id``'s run on its first call.  The id is kept as
+        given, so ``-1`` counts apart from the last entry's index."""
+        try:
+            bind = self._lowered[cfg_id]
         except IndexError:
             raise IndexError(
                 f"cix names config {cfg_id} but the table has "
                 f"{len(self.cfg_table)} entries"
             ) from None
-        self.executions += 1
-        self.config_counts[cfg_id] = self.config_counts.get(cfg_id, 0) + 1
-        if fused:
-            self.fused_executions += 1
-            if remote:
-                self.remote_spm_accesses += 1
-        return run(in_values)
+        calls = self._calls[cfg_id] = [0]
+        run = self._runs[cfg_id] = bind(calls)
+        return run
+
+    @property
+    def executions(self):
+        return sum(calls[0] for calls in self._calls.values())
+
+    @property
+    def fused_executions(self):
+        return self._fused[0]
+
+    @property
+    def remote_spm_accesses(self):
+        return self._remote[0]
+
+    @property
+    def config_counts(self):
+        """Invocations per config id, in first-use order."""
+        return {cfg_id: calls[0] for cfg_id, calls in self._calls.items()}
 
     def stats(self):
         """Invocation counters (feeds the SystemStats roll-up)."""
@@ -256,5 +303,5 @@ class PatchExecutor(PatchPort):
             "executions": self.executions,
             "fused_executions": self.fused_executions,
             "remote_spm_accesses": self.remote_spm_accesses,
-            "per_config": dict(self.config_counts),
+            "per_config": self.config_counts,
         }

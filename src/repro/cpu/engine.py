@@ -27,9 +27,12 @@ visit to a block entry (a leader, or the pc after a ``send``/``recv``)
 whose lines are all resident on the core, the engine translates the
 block up to its closing branch or jump into one Python function:
 registers, immediates and aligned SPM-window loads and stores inlined,
-each ``cix`` one call of the patch's ``execute`` whose results are
-written back in straight-line code (one store per nonzero out register,
-guarded by the result's length), each exit one constant tuple of deltas
+every 32-bit result wrapped through :data:`repro.isa.decoded.WRAP`,
+which returns an in-range value as it is, each ``cix`` one call of the
+patch's ``execute`` (a dispatch to the configuration's generated
+function, which counts itself) whose results are written back in
+straight-line code (one store per nonzero out register, guarded by the
+result's length, each wrapped), each exit one constant tuple of deltas
 (next pc, cycles, instret, stall buckets, I-cache hit words, SPM reads
 and writes, ``cix`` count).  A block whose closing branch or ``jmp``
 targets its own start is a loop block: one call runs its trips in a
@@ -533,7 +536,8 @@ def _generate(start, body, penalty, spm_extra, spm_base, spm_end,
     deltas of one trip of a loop block (None for any other block).
 
     ``r`` is the register list, ``w`` the SPM's backing words and ``x``
-    the patch's ``execute``.  Registers, immediates and the SPM window
+    the patch's ``execute``, which dispatches each ``cix`` to its
+    configuration's function.  Registers, immediates and the SPM window
     are inlined.  A load or store outside the window exits before the
     access, so the cold step runs it.  A ``hooked`` block is ``block(r,
     w, x, h, c)``: it calls ``h(cfg, cycle)``, the tile's ``cix`` hook,

@@ -103,8 +103,14 @@ TRANSLATE_VISITS = 3
 # configuration.  ``a``/``b`` read source operands, ``i`` is an
 # immediate.
 
-#: ``WRAP.format(x)`` is the source of ``wrap32(x)``.
-WRAP = "(({}) + 2147483648 & 4294967295) - 2147483648"
+#: ``WRAP.format(x)`` is the source of ``wrap32(x)``: a value already in
+#: ``[-2**31, 2**31)`` is returned as it is, one comparison chain in
+#: place of three multi-digit operations, and only others are folded.
+#: ``_u`` is a local of the generated function no generator names
+#: otherwise; a nested ``WRAP`` reassigns it before the outer one reads
+#: it.
+WRAP = ("(_u if -2147483648 <= (_u := {}) <= 2147483647"
+        " else (_u + 2147483648 & 4294967295) - 2147483648)")
 _FLAG = "(1 if {} else 0)"
 
 # Code-tuple slots of each template operand (see ``_code_tuple``).

@@ -76,9 +76,9 @@ def render_link_heatmap(payload, width=64):
     """The per-link flit-utilization heatmap (one row per link)."""
     links = payload.get("noc", {}).get("links", {})
     interval = payload.get("interval") or 1
-    if not links:
-        return "no NoC link traffic sampled"
     span = _span(payload)
+    if not links or span is None:
+        return "no NoC link traffic sampled"
     first, last = span
     per_column, ncols = _columns(first, last, width)
     capacity = per_column * interval  # flit-cycles one column can carry
@@ -106,9 +106,9 @@ def render_stall_timeline(payload, width=64):
     """The per-tile dominant-bucket timeline (one row per tile)."""
     tiles = payload.get("tiles", {})
     interval = payload.get("interval") or 1
-    if not tiles:
-        return "no tile samples"
     span = _span(payload)
+    if not tiles or span is None:
+        return "no tile samples"
     first, last = span
     per_column, ncols = _columns(first, last, width)
     label_width = max(len(f"tile {tile}") for tile in tiles) + 2

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,13 @@ from repro.core import (
 from repro.core.config import CONTROL_BITS
 from repro.core.executor import evaluate_fused, evaluate_patch
 from repro.core.units import Source
+from repro.cpu import Core
 from repro.isa import Op, decoded
 from repro.mem import MemorySystem, SPM_BASE
+from repro.sim.baselines import ARCH_STITCH, AppEvaluator
+from repro.workloads import make_kernel
+from repro.workloads.apps import APP_FACTORIES
+from tests.cpu.test_engine_differential import compile_case, replica_for
 
 
 def mem_with(values, base=SPM_BASE):
@@ -233,7 +239,9 @@ class TestGeneratedCode:
             memory = MemorySystem.stitch()
             executor = PatchExecutor(_lmau_pair(), memory,
                                      replica_memory=MemorySystem.stitch())
-            runs.append([run for run, _, _ in executor._lowered])
+            for cfg_id in (0, 1):
+                executor.execute(cfg_id, [SPM_BASE, 8, SPM_BASE + 12])
+            runs.append(list(executor._runs.values()))
         for first, second in zip(*runs):
             assert first is not second  # each binds its own memories
             assert first.__code__ is second.__code__
@@ -251,20 +259,81 @@ class TestGeneratedCode:
             if len(configs) > bound:
                 break
         executor = PatchExecutor(configs, MemorySystem.stitch())
-        assert len({run.__code__ for run, _, _ in executor._lowered}) > bound
+        factories = {bind.func.__code__ for bind in executor._lowered}
+        assert len(factories) > bound
         assert decoded.compiled.cache_info().currsize <= bound
 
     def test_executors_and_memories_die_without_gc(self):
         gc.disable()
         try:
-            memory, replica = MemorySystem.stitch(), MemorySystem.stitch()
-            executor = PatchExecutor(_lmau_pair(), memory,
-                                     replica_memory=replica)
-            for cfg_id in (0, 1, 0, 1):
-                executor.execute(cfg_id, [SPM_BASE, 8, SPM_BASE + 12])
-            assert replica.spm.writes == 2
-            refs = [weakref.ref(obj) for obj in (executor, memory, replica)]
-            del executor, memory, replica
-            assert all(ref() is None for ref in refs)
+            # Whether or not its configurations ran: a run binds cells.
+            for calls in ((0, 1, 0, 1), ()):
+                memory, replica = MemorySystem.stitch(), MemorySystem.stitch()
+                executor = PatchExecutor(_lmau_pair(), memory,
+                                         replica_memory=replica)
+                for cfg_id in calls:
+                    executor.execute(cfg_id, [SPM_BASE, 8, SPM_BASE + 12])
+                assert replica.spm.writes == len(calls) // 2
+                refs = [weakref.ref(obj)
+                        for obj in (executor, memory, replica)]
+                del executor, memory, replica
+                assert all(ref() is None for ref in refs), calls
         finally:
             gc.enable()
+
+
+def count_execute(monkeypatch):
+    """Wrap ``PatchExecutor.execute`` at class level, as CI's traced co-sim
+    gate does, reading ``fused_executions`` around each call; returns the
+    running tally."""
+    tally = Counter()
+    execute = PatchExecutor.execute
+
+    def counted(executor, *args, **kwargs):
+        fused = executor.fused_executions
+        try:
+            return execute(executor, *args, **kwargs)
+        finally:
+            tally["execute"] += 1
+            tally["fused"] += executor.fused_executions - fused
+
+    monkeypatch.setattr(PatchExecutor, "execute", counted)
+    return tally
+
+
+class TestOneExecutePerCix:
+    """Every ``cix`` enters ``PatchExecutor.execute`` exactly once, from
+    translated blocks and the cold step of both block engines.  Set-up
+    compiles, which simulates too, so the wrapper goes in just before
+    the run."""
+
+    @pytest.mark.parametrize("engine", ["fast", "instrumented"])
+    def test_fir_at_ma(self, monkeypatch, engine):
+        compiled = compile_case("fir", "AT-MA")
+        kernel = make_kernel("fir", seed=1)
+        memory = MemorySystem.stitch()
+        patch = PatchExecutor(compiled.cfg_table, memory,
+                              replica_memory=replica_for(compiled, kernel))
+        core = Core(compiled.program, memory, patch=patch, engine=engine)
+        kernel.setup(core)
+        calls = count_execute(monkeypatch)
+        core.run()
+        assert core.selected_engine() == engine and any(core._blocks)
+        assert calls["execute"] == patch.executions == core.cix_retired > 0
+        assert calls["fused"] == patch.fused_executions
+
+    @pytest.mark.parametrize("engine", ["fast", "instrumented"])
+    def test_app1_cosim(self, monkeypatch, engine):
+        evaluator = AppEvaluator(APP_FACTORIES["APP1"](seed=1))
+        system, _ = evaluator.build_system(ARCH_STITCH, items=2,
+                                           engine=engine)
+        calls = count_execute(monkeypatch)
+        system.run()
+        cores = [core for core in system.cores if core is not None]
+        assert {core.selected_engine() for core in cores} == {engine}
+        patches = [core.patch for core in cores if core.patch is not None]
+        assert calls["execute"] == sum(
+            patch.executions for patch in patches) == sum(
+            core.cix_retired for core in cores) > 0
+        assert calls["fused"] == sum(
+            patch.fused_executions for patch in patches) > 0

@@ -34,6 +34,24 @@ class TestCli:
         main(["run", str(source)])
         assert engines == ["fast"]
 
+    @pytest.mark.parametrize("source, message", [
+        ("movi r1, 3\ncix 0, (r2), (r1)\nhalt\n",
+         "BlockedError: core 0: cix executed but no patch is attached"),
+        ("movi r1, 1\nmovi r2, 4096\nsend r1, r2, r1\nhalt\n",
+         "BlockedError: send executed but no network is attached"),
+        ("movi r1, 1\n",
+         "ExecutionError: core 0: pc 1 ran off the end of '{}' "
+         "(missing halt?)"),
+    ], ids=["cix", "send", "no-halt"])
+    @pytest.mark.parametrize("flags", [[], ["--stats"]],
+                             ids=["fast", "instrumented"])
+    def test_run_fault_is_one_line(self, tmp_path, source, message, flags):
+        path = tmp_path / "prog.s"
+        path.write_text(source)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), *flags])
+        assert exc.value.code == message.format(path)
+
     def test_compile_command_single_option(self, capsys):
         main(["compile", "fir", "--option", "AT-MA"])
         out = capsys.readouterr().out
@@ -593,6 +611,41 @@ class TestMonitorCli:
         with pytest.raises(SystemExit) as exc:
             main(["monitor", str(path)])
         assert exc.value.code == f"time series {str(path)!r}: {problem}"
+
+    @pytest.mark.parametrize("content, problem", [
+        ('{"interval": 64, "tiles": {"0": 5}}',
+         "'tiles' series '0' is not a list of samples"),
+        ('{"interval": 64, "tiles": {"0": [{"start": 0}]}}',
+         "'tiles' series '0' sample 0 has no integer 'index'"),
+        ('{"interval": 64, "tiles": {"0": [{"index": 0, "start": 0, '
+         '"end": 64, "instructions": "9"}]}}',
+         "'tiles' series '0' sample 0 has no integer 'instructions'"),
+        ('{"interval": 64, "tiles": {"one": []}}',
+         "'tiles' names 'one', not a tile number"),
+        ('{"interval": 64, "noc": {"links": {"0->1": [{"index": 0, '
+         '"start": 0, "end": 64}]}}}',
+         "'noc.links' series '0->1' sample 0 has no integer 'flits'"),
+        ('{"interval": 64, "fabric": {"channels": {"0->1": [7]}}}',
+         "'fabric.channels' series '0->1' sample 0 is not a JSON object"),
+        ('{"interval": "64"}', "'interval' is not a number"),
+    ], ids=["series-number", "no-index", "stall-string", "tile-name",
+            "no-flits", "sample-number", "interval-string"])
+    def test_monitor_rejects_a_malformed_series(self, tmp_path, content,
+                                                problem):
+        path = tmp_path / "series.json"
+        path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", str(path)])
+        assert exc.value.code == f"time series {str(path)!r}: {problem}"
+
+    def test_monitor_renders_series_without_samples(self, tmp_path, capsys):
+        path = tmp_path / "series.json"
+        path.write_text('{"interval": 64, "tiles": {"0": []}, '
+                        '"noc": {"links": {"0->1": []}}}')
+        main(["monitor", str(path)])
+        out = capsys.readouterr().out
+        assert "no tile samples" in out
+        assert "no NoC link traffic sampled" in out
 
     def test_monitor_rejects_bad_capture(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
